@@ -152,7 +152,7 @@ def criterion_hecke_kernel(seed: int = 20240, pairs: int = 200):
 
         # exhaustive associativity, total length <= 6, working directly on
         # the memoized basis-product tables
-        from .hecke import _basis_mul_plain
+        from .hecke import _add_into, _basis_mul_plain
         by_len = _keys_up_to_length(spec, 6)
 
         def product(k1, k2):
@@ -178,17 +178,12 @@ def criterion_hecke_kernel(seed: int = 20240, pairs: int = 200):
                         lhs: dict = {}
                         for k, p in ab.items():
                             for k2, q in product((k[0], k[1]), kc).items():
-                                s = lhs.get(k2)
-                                s = p * q if s is None else s + p * q
-                                lhs[k2] = s
+                                _add_into(lhs, k2, p * q)
                         rhs: dict = {}
                         for k, p in bc.items():
                             for k2, q in product(ka, (k[0], k[1])).items():
-                                s = rhs.get(k2)
-                                s = q * p if s is None else s + q * p
-                                rhs[k2] = s
-                        if {k: v for k, v in lhs.items() if not v.is_zero()} != \
-                                {k: v for k, v in rhs.items() if not v.is_zero()}:
+                                _add_into(rhs, k2, q * p)
+                        if lhs != rhs:
                             return False, f"{name}: associativity fails"
                         triples += 1
 

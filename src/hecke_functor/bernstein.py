@@ -16,51 +16,29 @@ trivial R-group are supported here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
-from .numkernel import Cyclo, LaurentPoly
+from .numkernel import LaurentPoly
 from .hecke import (
-    HeckeElement, HeckeError, HeckeSpec, _blz_correction, mul_im, theta,
+    Combination, HeckeElement, HeckeError, HeckeSpec, _add_into, _blz_correction,
+    _dominant_shift, mul_im, theta,
 )
 
-__all__ = ["BernElement", "bern_basis", "mul_bernstein", "bern_to_im", "im_key_to_bern"]
+__all__ = ["BernElement", "bern_basis", "mul_bernstein", "bern_to_im"]
 
 
-class BernElement:
+class BernElement(Combination):
     """sum theta_x f(z) T_w, keys (x, finite Weyl index)."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ()
 
     def __init__(self, spec: HeckeSpec, terms: Mapping[tuple[tuple[int, ...], int], LaurentPoly]):
         if len(spec.rgroup) != 1:
             raise HeckeError("commutative-presentation route needs a trivial R-group")
-        self.spec = spec
-        self.terms = {k: p for k, p in terms.items() if not p.is_zero()}
+        super().__init__(spec, terms)
 
-    def __add__(self, other: "BernElement") -> "BernElement":
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BernElement(self.spec, out)
-
-    def scale(self, c) -> "BernElement":
-        if isinstance(c, (int, Fraction, Cyclo)):
-            c = LaurentPoly.constant(self.spec.zvars, c)
-        return BernElement(self.spec, {k: p * c for k, p in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, BernElement):
-            return NotImplemented
-        return self.spec is other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
+    def _mul(self, other):
+        return mul_bernstein(self.spec, self, other)
 
 
 def bern_basis(spec: HeckeSpec, x: tuple[int, ...], wi: int) -> BernElement:
@@ -71,23 +49,12 @@ def _finite_append_s(spec: HeckeSpec, terms: dict, simple_pos: int) -> dict:
     """Right multiplication by T_s on (x, w)-terms, finite quadratic rule."""
     group = spec.weyl
     out: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
-
-    def add(key, poly):
-        cur = out.get(key)
-        cur = poly if cur is None else cur + poly
-        if cur.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = cur
-
     deform = spec.gen_deform[simple_pos]
     for (x, ui), p in terms.items():
         us = group.right_mult[ui][simple_pos]
-        if len(group.words[us]) > len(group.words[ui]):
-            add((x, us), p)
-        else:
-            add((x, us), p)
-            add((x, ui), p * deform)
+        _add_into(out, (x, us), p)
+        if len(group.words[us]) < len(group.words[ui]):
+            _add_into(out, (x, ui), p * deform)
     return out
 
 
@@ -113,28 +80,15 @@ def _move_through_raw(spec: HeckeSpec, wi: int, y: tuple[int, ...]
     if not word:
         return {(y, 0): LaurentPoly.constant(spec.zvars, 1)}
     s = word[-1]
-    w1 = 0
-    for letter in word[:-1]:
-        w1 = group.right_mult[w1][letter]
+    w1 = group.right_mult[wi][s]
     root_idx = spec.datum.simples[s]
     sy = spec.datum.reflect(root_idx, y)
-    out: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
     # T_s theta_y = theta_{s y} T_s + correction (a theta-span element)
-    for key, p in _finite_append_s(spec, _move_through(spec, w1, sy), s).items():
-        cur = out.get(key)
-        cur = p if cur is None else cur + p
-        out[key] = cur
+    out = _finite_append_s(spec, _move_through(spec, w1, sy), s)
     for z, c in _blz_correction(spec, y, s).items():
-        for (zz, ui), p in _move_through(spec, w1, z).items():
-            key = (zz, ui)
-            cur = out.get(key)
-            add = p * c
-            cur = add if cur is None else cur + add
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        for key, p in _move_through(spec, w1, z).items():
+            _add_into(out, key, p * c)
+    return out
 
 
 def mul_bernstein(spec: HeckeSpec, a: BernElement, b: BernElement) -> BernElement:
@@ -148,12 +102,7 @@ def mul_bernstein(spec: HeckeSpec, a: BernElement, b: BernElement) -> BernElemen
                 for letter in spec.weyl.words[vi]:
                     base = _finite_append_s(spec, base, letter)
                 for key, poly in base.items():
-                    cur = out.get(key)
-                    cur = poly if cur is None else cur + poly
-                    if cur.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
+                    _add_into(out, key, poly)
     return BernElement(spec, out)
 
 
@@ -173,11 +122,6 @@ def bern_to_im(spec: HeckeSpec, e: BernElement) -> HeckeElement:
     return total
 
 
-def im_key_to_bern(spec: HeckeSpec, x: tuple[int, ...], wi: int) -> BernElement:
-    """A convenient Bernstein-side element matching theta_x T_w (not N_{t_x w})."""
-    return bern_basis(spec, x, wi)
-
-
 def oracle_pair_check(spec: HeckeSpec, x: tuple[int, ...], wi: int,
                       y: tuple[int, ...], vi: int) -> bool:
     """Compare the two multiplication routes on (theta_x T_w) (theta_y T_v).
@@ -193,16 +137,7 @@ def oracle_pair_check(spec: HeckeSpec, x: tuple[int, ...], wi: int,
         raise HeckeError("the right translation must be dominant")
     prod = mul_bernstein(spec, bern_basis(spec, x, wi), bern_basis(spec, y, vi))
     # dominant shift covering x and every translation of the product
-    two_rho = [0] * datum.rank
-    for i in spec.weyl.positive_indices:
-        two_rho = [a + b for a, b in zip(two_rho, datum.roots[i])]
-    need = 0
-    for z in [x] + [k[0] for k in prod.terms]:
-        for i in datum.simples:
-            v = datum.pairing(tuple(z), datum.coroots[i])
-            if v < 0:
-                need = max(need, (-v + 1) // 2)
-    shift = tuple(need * b for b in two_rho)
+    shift = _dominant_shift(spec, [x] + [k[0] for k in prod.terms])
     # left side: theta_D im(prod) with every translation shifted to dominant
     lhs = spec.zero()
     for (z, ui), p in prod.terms.items():

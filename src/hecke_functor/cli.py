@@ -64,7 +64,7 @@ def _builtin_fixture(name: str):
         if tag.startswith("z"):
             return FiniteGroup.cyclic(int(tag[1:])).to_json()
     if name.startswith("param:sln"):
-        n = int(name.rsplit(":", 1)[1][3:] if False else name.split("sln")[1])
+        n = int(name.split("sln")[1])
         tag = GroupTag.single("SL", n)
         return parameter_to_json(tag, ToyParameter.principal_cycle(tag))
     raise ValidationError(f"unknown fixture {name!r}")
@@ -178,10 +178,10 @@ def _cmd_weyl(args):
                 "words": [list(w) for w in group.words]}
     if args.action == "length":
         elt_data = _load_json(args.element)
+        if not (isinstance(elt_data, dict) and isinstance(elt_data.get("t"), list)):
+            raise ValidationError('an element is an object {"t": [...], "w_word": [...]}')
         group = WeylGroup.build(datum)
-        wi = 0
-        for s in elt_data["w_word"]:
-            wi = group.right_mult[wi][s]
+        wi = group.index_of_word(elt_data["w_word"])
         elt = ExtAffineElt(tuple(elt_data["t"]), group.element(wi))
         return {"length": length(elt, datum)}
     if args.action == "stabilizer":

@@ -284,12 +284,6 @@ class GroupHomDesc:
             self._facto = factorize_condition1(self.lattice_map)
         return self._facto
 
-    @property
-    def twist_elt(self):
-        """Total Ad-vector at the codomain end, if any."""
-        vecs = [s.ad_vector for s in self.steps if s.kind == "ad"]
-        return vecs[-1] if vecs else None
-
     def __repr__(self):
         return "GroupHomDesc(" + " -> ".join(
             [self.steps[0].dom.factors.__repr__()]

@@ -17,6 +17,12 @@ N_r N_r' = kappa(r, r') N_{rr'} on the R-group part.  The commutative
 subalgebra is reached through `theta`; `blz_check` verifies the cross
 relation between the two presentations.
 
+Every element type -- `HeckeElement` here, `bernstein.BernElement` for the
+Bernstein presentation and `GradedElement` for the graded algebra -- is a
+`Combination`: a sparse dict from basis keys to nonzero Laurent-polynomial
+coefficients, with one shared linear structure.  Each sum into such a dict
+goes through `_add_into`, which drops a key whose coefficient cancels.
+
 The parameter z(s) of an affine node is z^label(theta) for the node's root
 theta, except that theta^ in 2 X^ switches it to z^label*(theta); this is
 also the only situation in which label* may differ from label.
@@ -276,6 +282,27 @@ class HeckeSpec:
         m = il.mat_mul(il.mat_mul(g, self.weyl.matrices[wi]), ginv)
         return (tuple(gx), self.weyl.index_of(m))
 
+    def left_descent(self, a: tuple[tuple[int, ...], int]
+                     ) -> tuple[int, tuple[tuple[int, ...], int]]:
+        """A generator s with l(s a) < l(a), as (its position in all_gens, s a)."""
+        ident = self.r_identity
+        la = self.key_length((a[0], a[1], ident))
+        for gen_pos, gen in enumerate(self.all_gens):
+            sa = self.key_mul_plain(gen, a)
+            if self.key_length((sa[0], sa[1], ident)) < la:
+                return gen_pos, sa
+        raise HeckeError("no descent found for a positive-length element")
+
+    def factorize(self, a: tuple[tuple[int, ...], int]
+                  ) -> tuple[list[int], tuple[tuple[int, ...], int]]:
+        """a = g_1 ... g_k omega with k = l(a) and l(omega) = 0, as the
+        positions of g_1, ..., g_k in all_gens and omega."""
+        word: list[int] = []
+        while self.key_length((a[0], a[1], self.r_identity)) > 0:
+            gen_pos, a = self.left_descent(a)
+            word.append(gen_pos)
+        return word, a
+
     # -- element constructors ------------------------------------------------------
 
     def zero(self) -> "HeckeElement":
@@ -325,66 +352,85 @@ class HeckeSpec:
                      for k, v in data["cocycle"]})
 
 
-class HeckeElement:
-    """Finite sum of basis terms with Laurent-polynomial coefficients."""
+_SCALARS = (int, Fraction, Cyclo, LaurentPoly)
+
+
+def _add_into(out: dict, key, poly: LaurentPoly) -> None:
+    """out[key] += poly, dropping the key when the sum cancels."""
+    cur = out.get(key)
+    if cur is not None:
+        poly = cur + poly
+    if poly.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = poly
+
+
+class Combination:
+    """Finite sum  sum_k f_k B_k  of basis elements B_k over one spec, with
+    nonzero Laurent-polynomial coefficients f_k stored as `terms`.
+
+    The linear structure shared by `HeckeElement`, `bernstein.BernElement`
+    and `GradedElement`; each subclass supplies its product as `_mul`.
+    """
 
     __slots__ = ("spec", "terms")
 
-    def __init__(self, spec: HeckeSpec, terms: Mapping[Key, LaurentPoly]):
+    def __init__(self, spec, terms: Mapping):
         self.spec = spec
         self.terms = {k: p for k, p in terms.items() if not p.is_zero()}
 
-    def _check(self, other: "HeckeElement"):
-        if self.spec is not other.spec:
-            raise HeckeError("elements live over different specs")
+    def _new(self, terms: Mapping):
+        return type(self)(self.spec, terms)
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
+    def __add__(self, other):
+        if type(other) is not type(self) or other.spec is not self.spec:
+            raise HeckeError("elements of different types or over different specs")
         out = dict(self.terms)
         for k, p in other.terms.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return HeckeElement(self.spec, out)
+            _add_into(out, k, p)
+        return self._new(out)
 
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.spec, {k: -p for k, p in self.terms.items()})
+    def __neg__(self):
+        return self._new({k: -p for k, p in self.terms.items()})
 
-    def scale(self, c) -> "HeckeElement":
-        if isinstance(c, (int, Fraction, Cyclo)):
-            c = LaurentPoly.constant(self.spec.zvars, c)
-        return HeckeElement(self.spec, {k: p * c for k, p in self.terms.items()})
+    def scale(self, c):
+        """c times self, for a scalar or a Laurent polynomial c."""
+        return self._new({k: p * c for k, p in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo, LaurentPoly)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
-        return mul_im(self.spec, self, other)
+        return self._mul(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo, LaurentPoly)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
+        if not isinstance(other, Combination):
             return NotImplemented
-        return self.spec is other.spec and self.terms == other.terms
+        return (type(self) is type(other) and self.spec is other.spec
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(),
-                                 key=lambda kv: kv[0])))
+        return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support_lengths(self) -> list[int]:
-        return sorted(self.spec.key_length(k) for k in self.terms)
+
+class HeckeElement(Combination):
+    """Finite sum of basis terms with Laurent-polynomial coefficients."""
+
+    __slots__ = ()
+
+    def _mul(self, other):
+        return mul_im(self.spec, self, other)
 
     def __repr__(self):
         if not self.terms:
@@ -403,12 +449,22 @@ class HeckeElement:
 
     @staticmethod
     def from_json(spec: HeckeSpec, data) -> "HeckeElement":
+        if not isinstance(data, list):
+            raise HeckeError("an element is a list of [key, polynomial] terms")
         terms = {}
-        for key_data, poly_data in data:
-            wi = 0
-            for s in key_data["w_word"]:
-                wi = spec.weyl.right_mult[wi][s]
-            key = (tuple(key_data["t"]), wi, key_data.get("r", spec.r_identity))
+        for term in data:
+            if not (isinstance(term, list) and len(term) == 2
+                    and isinstance(term[0], dict)):
+                raise HeckeError("each term must be a [key, polynomial] pair")
+            key_data, poly_data = term
+            t = key_data["t"]
+            if not (isinstance(t, list) and len(t) == spec.datum.rank
+                    and all(type(v) is int for v in t)):
+                raise HeckeError(f"t must be a list of {spec.datum.rank} integers")
+            r = key_data.get("r", spec.r_identity)
+            if type(r) is not int or not 0 <= r < len(spec.rgroup):
+                raise HeckeError(f"r must be an R-group index below {len(spec.rgroup)}")
+            key = (tuple(t), spec.weyl.index_of_word(key_data["w_word"]), r)
             terms[key] = LaurentPoly.from_json(poly_data)
         return HeckeElement(spec, terms)
 
@@ -433,32 +489,19 @@ def _basis_mul_plain(spec: HeckeSpec, a: tuple[tuple[int, ...], int],
         memo[key] = result
         return result
     # peel a left descent: b = s b1 with l(b1) = l(b) - 1
-    for gen_pos, gen in enumerate(spec.all_gens):
-        sb = spec.key_mul_plain(gen, b)
-        if spec.key_length((sb[0], sb[1], ident)) < lb:
-            b1 = sb
-            break
-    else:
-        raise HeckeError("no descent found for a positive-length element")
-    la = spec.key_length((a[0], a[1], ident))
-    a_s = spec.key_mul_plain(a, gen)
-    out: dict[Key, LaurentPoly] = {}
-    if spec.key_length((a_s[0], a_s[1], ident)) > la:
-        for k, p in _basis_mul_plain(spec, a_s, b1).items():
-            out[k] = out.get(k, _zero(spec)) + p
-    else:
-        for k, p in _basis_mul_plain(spec, a_s, b1).items():
-            out[k] = out.get(k, _zero(spec)) + p
+    gen_pos, b1 = spec.left_descent(b)
+    a_s = spec.key_mul_plain(a, spec.all_gens[gen_pos])
+    # Each memo entry gets coefficient objects of its own, not those of the
+    # sub-product it is built from.  Sharing them saves memory, but it moves
+    # gen-2 collector pauses into single products and lengthens their tail.
+    out = {k: LaurentPoly(spec.zvars, p.terms)
+           for k, p in _basis_mul_plain(spec, a_s, b1).items()}
+    if spec.key_length((a_s[0], a_s[1], ident)) < spec.key_length((a[0], a[1], ident)):
         deform = spec.gen_deform[gen_pos]
         for k, p in _basis_mul_plain(spec, a, b1).items():
-            out[k] = out.get(k, _zero(spec)) + p * deform
-    out = {k: p for k, p in out.items() if not p.is_zero()}
+            _add_into(out, k, p * deform)
     memo[key] = out
     return out
-
-
-def _zero(spec: HeckeSpec) -> LaurentPoly:
-    return LaurentPoly(spec.zvars)
 
 
 def mul_im(spec: HeckeSpec, a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -474,13 +517,7 @@ def mul_im(spec: HeckeSpec, a: HeckeElement, b: HeckeElement) -> HeckeElement:
             tail_r = spec.r_mul(gi, hi)
             coeff = p * q * spec.cocycle[(gi, hi)]
             for (z, ui, _), c in _basis_mul_plain(spec, (x, wi), conj).items():
-                k = (z, ui, tail_r)
-                s = out.get(k)
-                s = c * coeff if s is None else s + c * coeff
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                _add_into(out, (z, ui, tail_r), c * coeff)
     return HeckeElement(spec, out)
 
 
@@ -488,23 +525,19 @@ def mul_im(spec: HeckeSpec, a: HeckeElement, b: HeckeElement) -> HeckeElement:
 # the commutative subalgebra
 
 
-def _dominant_decomposition(spec: HeckeSpec, x: tuple[int, ...]):
+def _dominant_shift(spec: HeckeSpec, vectors) -> tuple[int, ...]:
+    """D = n * 2rho for the least n >= 0 that makes every x + D dominant."""
     datum = spec.datum
     two_rho = [0] * datum.rank
     for i in spec.weyl.positive_indices:
         two_rho = [a + b for a, b in zip(two_rho, datum.roots[i])]
     need = 0
-    for i in datum.simples:
-        v = datum.pairing(x, datum.coroots[i])
-        if v < 0:
-            need = max(need, (-v + 1) // 2)     # <2rho, alpha_i^> = 2
-    plus = tuple(a + need * b for a, b in zip(x, two_rho))
-    minus = tuple(need * b for b in two_rho)
-    return plus, minus
-
-
-def _translation_element(spec: HeckeSpec, y: tuple[int, ...]) -> HeckeElement:
-    return spec.basis(y, 0)
+    for x in vectors:
+        for i in datum.simples:
+            v = datum.pairing(tuple(x), datum.coroots[i])
+            if v < 0:
+                need = max(need, (-v + 1) // 2)     # <2rho, alpha_i^> = 2
+    return tuple(need * b for b in two_rho)
 
 
 def _n_inverse_of_key(spec: HeckeSpec, key: tuple[tuple[int, ...], int]) -> HeckeElement:
@@ -512,19 +545,8 @@ def _n_inverse_of_key(spec: HeckeSpec, key: tuple[tuple[int, ...], int]) -> Heck
     got = spec._inv_memo.get(key)
     if got is not None:
         return got
-    ident = spec.r_identity
-    word: list[int] = []
-    cur = key
-    while spec.key_length((cur[0], cur[1], ident)) > 0:
-        for gen_pos, gen in enumerate(spec.all_gens):
-            nxt = spec.key_mul_plain(gen, cur)
-            if spec.key_length((nxt[0], nxt[1], ident)) < spec.key_length((cur[0], cur[1], ident)):
-                word.append(gen_pos)
-                cur = nxt
-                break
-        else:
-            raise HeckeError("descent search failed")
-    omega_inv = spec.key_inv_plain(cur)
+    word, omega = spec.factorize(key)
+    omega_inv = spec.key_inv_plain(omega)
     out = spec.basis(omega_inv[0], omega_inv[1])
     # key = g_1 ... g_k omega, so the inverse is N_omega^-1 g_k^-1 ... g_1^-1
     for gen_pos in reversed(word):
@@ -543,8 +565,8 @@ def _theta_base(spec: HeckeSpec, i: int, step: int) -> HeckeElement:
     got = memo.get(key)
     if got is None:
         e_i = tuple(step if j == i else 0 for j in range(spec.datum.rank))
-        plus, minus = _dominant_decomposition(spec, e_i)
-        got = _translation_element(spec, plus)
+        minus = _dominant_shift(spec, [e_i])
+        got = spec.basis(tuple(a + b for a, b in zip(e_i, minus)), 0)
         if any(minus):
             got = mul_im(spec, got, _n_inverse_of_key(spec, (minus, 0)))
         memo[key] = got
@@ -565,7 +587,7 @@ def theta(spec: HeckeSpec, x: tuple[int, ...]) -> HeckeElement:
     if got is not None:
         return got
     if spec.datum.is_dominant(x):
-        result = _translation_element(spec, x)
+        result = spec.basis(x, 0)
     else:
         i = next(j for j, v in enumerate(x) if v)
         step = 1 if x[i] > 0 else -1
@@ -606,29 +628,21 @@ def _g_alpha_series(spec: HeckeSpec, simple_pos: int, m: int
     a = za - za.monomial_inverse()
     b = zb - zb.monomial_inverse()
 
-    def add(power: int, poly: LaurentPoly):
-        cur = out.get(power)
-        cur = poly if cur is None else cur + poly
-        if cur.is_zero():
-            out.pop(power, None)
-        else:
-            out[power] = cur
-
     if m % 2 == 0:
         powers = range(0, m, 2) if m > 0 else range(m, 0, 2)
         sign = 1 if m > 0 else -1
         for p in powers:
-            add(p, a * sign)
-            add(p + 1, b * sign)
+            _add_into(out, p, a * sign)
+            _add_into(out, p + 1, b * sign)
     else:
         if lam != lam_star:
             raise HeckeError("odd pairing with unequal labels: admissibility violated")
         if m > 0:
             for p in range(0, m):
-                add(p, a)
+                _add_into(out, p, a)
         else:
             for p in range(m, 0):
-                add(p, -a)
+                _add_into(out, p, -a)
     return out
 
 
@@ -642,13 +656,7 @@ def _blz_correction(spec: HeckeSpec, x: tuple[int, ...], simple_pos: int
     series = _g_alpha_series(spec, simple_pos, k)
     out: dict[tuple[int, ...], LaurentPoly] = {}
     for p, poly in series.items():
-        key = tuple(xx - p * q for xx, q in zip(x, alpha))
-        cur = out.get(key)
-        cur = poly if cur is None else cur + poly
-        if cur.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = cur
+        _add_into(out, tuple(xx - p * q for xx, q in zip(x, alpha)), poly)
     return out
 
 
@@ -667,7 +675,7 @@ def blz_check(spec: HeckeSpec, f_coords: Mapping[tuple[int, ...], LaurentPoly],
         sx = datum.reflect(root_idx, tuple(x))
         if isinstance(c, (int, Fraction, Cyclo)):
             c = LaurentPoly.constant(spec.zvars, c)
-        sf_coords[sx] = sf_coords.get(sx, _zero(spec)) + c
+        _add_into(sf_coords, sx, c)
     sf = theta_combination(spec, sf_coords)
     n_s = spec.n_simple(simple_pos)
     commutator = mul_im(spec, f, n_s) - mul_im(spec, n_s, sf)
@@ -676,7 +684,7 @@ def blz_check(spec: HeckeSpec, f_coords: Mapping[tuple[int, ...], LaurentPoly],
         if isinstance(c, (int, Fraction, Cyclo)):
             c = LaurentPoly.constant(spec.zvars, c)
         for y, p in _blz_correction(spec, tuple(x), simple_pos).items():
-            expected[y] = expected.get(y, _zero(spec)) + c * p
+            _add_into(expected, y, c * p)
     if commutator != theta_combination(spec, expected):
         raise HeckeError("cross relation fails: presentation mismatch")
     return commutator
@@ -765,22 +773,10 @@ class AdMap:
             return got
         spec = self.spec
         x, wi, gi = key
-        ident = spec.r_identity
-        # peel left descents of the (x, w) part: key = g_1 ... g_k omega gamma
-        word: list[int] = []
-        cur = (x, wi)
-        while spec.key_length((cur[0], cur[1], ident)) > 0:
-            for gen_pos, gen in enumerate(spec.all_gens):
-                nxt = spec.key_mul_plain(gen, cur)
-                if spec.key_length((nxt[0], nxt[1], ident)) < \
-                        spec.key_length((cur[0], cur[1], ident)):
-                    word.append(gen_pos)
-                    cur = nxt
-                    break
-            else:
-                raise HeckeError("descent search failed")
-        img = self._image_of_omega(cur)
-        if gi != ident:
+        # key = g_1 ... g_k omega gamma
+        word, omega = spec.factorize((x, wi))
+        img = self._image_of_omega(omega)
+        if gi != spec.r_identity:
             img = mul_im(spec, img, self._r_img[gi])
         for gen_pos in reversed(word):
             img = mul_im(spec, self._image_of_generator(gen_pos), img)
@@ -961,50 +957,13 @@ class GradedSpec:
         return self.basis(None, self.weyl.right_mult[0][j])
 
 
-class GradedElement:
-    __slots__ = ("spec", "terms")
+class GradedElement(Combination):
+    """sum f T_w T_gamma with polynomial f on the left; keys (w, gamma)."""
 
-    def __init__(self, spec: GradedSpec, terms: Mapping[tuple[int, int], LaurentPoly]):
-        self.spec = spec
-        self.terms = {k: p for k, p in terms.items() if not p.is_zero()}
+    __slots__ = ()
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            s = out.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return GradedElement(self.spec, out)
-
-    def __neg__(self):
-        return GradedElement(self.spec, {k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "GradedElement":
-        if isinstance(c, (int, Fraction, Cyclo)):
-            c = self.spec.poly_constant(c)
-        return GradedElement(self.spec, {k: p * c for k, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo, LaurentPoly)):
-            return self.scale(other)
+    def _mul(self, other):
         return graded_mul(self.spec, self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self.spec is other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
-
-    def is_zero(self):
-        return not self.terms
 
     def specialize_r_zero(self) -> "GradedElement":
         """Set every deformation parameter to zero."""
@@ -1017,9 +976,7 @@ class GradedElement:
                 if any(exps[i] for i in range(n_coord, len(spec.vars))):
                     continue
                 kept[exps] = coeff
-            q = LaurentPoly(spec.vars, kept)
-            if not q.is_zero():
-                out[k] = q
+            out[k] = LaurentPoly(spec.vars, kept)
         return GradedElement(spec, out)
 
 
@@ -1031,9 +988,7 @@ def _move_poly_left(spec: GradedSpec, wi: int, q: LaurentPoly
         return {0: q}
     # T_w = T_{w'} T_s with s the last letter
     s = word[-1]
-    w1 = 0
-    for letter in word[:-1]:
-        w1 = spec.weyl.right_mult[w1][letter]
+    w1 = spec.weyl.right_mult[wi][s]
     root_idx = spec.datum.simples[s]
     s_mat_idx = spec.weyl.right_mult[0][s]
     sq = spec.act_poly(spec.weyl.matrices[s_mat_idx], q)
@@ -1042,11 +997,10 @@ def _move_poly_left(spec: GradedSpec, wi: int, q: LaurentPoly
     corr = corr * spec.deformation(comp)
     out: dict[int, LaurentPoly] = {}
     for u, c in _move_poly_left(spec, w1, sq).items():
-        key = spec.weyl.right_mult[u][s]
-        out[key] = out.get(key, LaurentPoly(spec.vars)) + c
+        _add_into(out, spec.weyl.right_mult[u][s], c)
     for u, c in _move_poly_left(spec, w1, corr).items():
-        out[u] = out.get(u, LaurentPoly(spec.vars)) + c
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        _add_into(out, u, c)
+    return out
 
 
 def graded_mul(spec: GradedSpec, a: GradedElement, b: GradedElement) -> GradedElement:
@@ -1064,14 +1018,7 @@ def graded_mul(spec: GradedSpec, a: GradedElement, b: GradedElement) -> GradedEl
             kappa = spec.cocycle[(gi, hi)]
             tail_r = spec.r_mul(gi, hi)
             for u, c in moved.items():
-                key = (spec.weyl.mul(u, v_conj), tail_r)
-                add = p * c * kappa
-                cur = out.get(key)
-                cur = add if cur is None else cur + add
-                if cur.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
+                _add_into(out, (spec.weyl.mul(u, v_conj), tail_r), p * c * kappa)
     return GradedElement(spec, out)
 
 

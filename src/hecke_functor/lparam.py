@@ -71,10 +71,6 @@ class GroupTag:
     def single(kind: str, n: int, zeta: int = 0) -> "GroupTag":
         return GroupTag(((kind, n),), (zeta,))
 
-    def center_order(self, factor: int) -> int:
-        kind, n = self.factors[factor]
-        return 1 if kind == "T" else n
-
 
 @dataclass(frozen=True)
 class ToyParameter:

@@ -580,13 +580,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0,) * len(self.vars) in self.terms)
 
-    def constant_value(self) -> Cyclo:
-        if self.is_zero():
-            return Cyclo(0)
-        if not self.is_constant():
-            raise ValueError("not constant")
-        return self.terms[(0,) * len(self.vars)]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "LaurentPoly"):

@@ -359,15 +359,6 @@ class RDMorphism:
             return ()
         return il.mat_vec(self.cochar_map, y)
 
-    def root_match(self) -> dict[int, int]:
-        """Partial map: target root index -> source root index under char_map."""
-        out = {}
-        for j, beta in enumerate(self.target.roots):
-            i = self.source.root_index(self.apply_char(beta))
-            if i is not None:
-                out[j] = i
-        return out
-
     def compose(self, then: "RDMorphism") -> "RDMorphism":
         """self : A -> B followed by then : B -> C, giving A -> C."""
         if then.source is not self.target and then.source != self.target:

@@ -151,6 +151,19 @@ class WeylGroup:
         m = elt.matrix if isinstance(elt, WeylElt) else tuple(map(tuple, elt))
         return self.index[m]
 
+    def index_of_word(self, word) -> int:
+        """Index of s_{word[0]} ... s_{word[-1]}, the letters being positions
+        of simple reflections; raises ValueError on a letter out of range."""
+        if not isinstance(word, (list, tuple)):
+            raise ValueError("a Weyl word is a list of simple-reflection positions")
+        i = 0
+        for s in word:
+            if type(s) is not int or not 0 <= s < len(self.simple_positions):
+                raise ValueError(f"Weyl word letter {s!r} is not a simple-reflection "
+                                 f"position below {len(self.simple_positions)}")
+            i = self.right_mult[i][s]
+        return i
+
     def mul(self, i: int, j: int) -> int:
         for s in self.words[j]:
             i = self.right_mult[i][s]
@@ -170,10 +183,6 @@ class WeylGroup:
     def act(self, i: int, x: tuple[int, ...]) -> tuple[int, ...]:
         return il.mat_vec(self.matrices[i], x)
 
-    def coact(self, i: int, y: tuple[int, ...]) -> tuple[int, ...]:
-        """Action on cocharacters: the transpose of the inverse matrix."""
-        return il.mat_vec(il.transpose(self.matrices[self.inv(i)]), y)
-
 
 def enumerate_weyl(datum: BasedRootDatum) -> list[WeylElt]:
     """All Weyl group elements, each with a reduced word."""
@@ -186,6 +195,9 @@ def enumerate_weyl(datum: BasedRootDatum) -> list[WeylElt]:
 
 def length(elt: ExtAffineElt, datum: BasedRootDatum) -> int:
     """Length of t_x w under LENGTH_POLICY."""
+    x = elt.translation
+    if len(x) != datum.rank or any(type(v) is not int for v in x):
+        raise RootDatumError(f"translation must be {datum.rank} integers")
     group = WeylGroup.build(datum)
     try:
         wi = group.index_of(elt.finite)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hecke_functor.cli import main
 
 
@@ -147,6 +149,29 @@ def test_validation_exit_code(capsys):
     code, _, err = run_cli(["pullback", "--hom", '{"steps": []}',
                             "--param", "param:sln3"], capsys)
     assert code in (1, 2)
+
+
+_ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
+
+
+@pytest.mark.parametrize("args", [
+    # a term that is not a [key, polynomial] pair
+    ["hecke", "mul", "--spec", "datum:a2sc", "--a", "[[1,2]]", "--b", "[]"],
+    # a Weyl-word letter past the simple reflections
+    ["weyl", "length", "--in", "datum:a2sc", "--element", '{"t":[0],"w_word":[3]}'],
+    # a translation of the wrong rank
+    ["weyl", "length", "--in", "datum:a2sc", "--element", '{"t":[5],"w_word":[1]}'],
+    ["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
+     json.dumps([[{"t": [0, 0, 0], "w_word": []}, _ONE]])],
+    # an R-group index on a trivial R-group
+    ["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
+     json.dumps([[{"t": [0, 0], "w_word": [], "r": 3}, _ONE]])],
+])
+def test_malformed_element_is_refused(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code in (1, 2)
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_computation_exit_code(capsys):

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hecke_functor import intlattice as il
 from hecke_functor.numkernel import Cyclo, LaurentPoly, cyclo_root_of_unity
 from hecke_functor.rootdata import build_classical, direct_sum
-from hecke_functor.bernstein import bern_basis, bern_to_im, mul_bernstein
+from hecke_functor.bernstein import BernElement, bern_basis, bern_to_im, mul_bernstein
 from hecke_functor.hecke import (
-    GradedSpec, HeckeError, HeckeSpec, ad_xg, alpha_g_twist, blz_check,
-    graded_mul, hom_from_big, intermediate_algebra, is_central, mul_im, theta,
+    GradedElement, GradedSpec, HeckeElement, HeckeError, HeckeSpec, ad_xg,
+    alpha_g_twist, blz_check, graded_mul, hom_from_big, intermediate_algebra,
+    is_central, mul_im, theta,
 )
 
 A1 = build_classical("A", 1, "sc")
@@ -423,8 +425,6 @@ def test_graded_invariant_central():
 
 
 def test_graded_associativity_random():
-    from hecke_functor.hecke import GradedElement
-
     rng = random.Random(99)
     gspec = GradedSpec(A2)
 
@@ -516,3 +516,89 @@ def test_intermediate_cocycle_compatibility():
     bad = {(0, 0): i, (0, 1): one, (1, 0): one, (1, 1): i}
     with pytest.raises(HeckeError):
         intermediate_algebra(spec, rgroup, bad)
+
+
+# ---------------------------------------------------------------------------
+# the shared linear structure of the three element types and the
+# reduced factorization of basis keys
+
+HECKE_A1 = HeckeSpec(A1)
+HECKE_A2 = HeckeSpec(A2)
+GRADED_A2 = GradedSpec(A2)
+
+
+def _polys(vars):
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars))
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
+        lambda terms: LaurentPoly(vars, terms))
+
+
+def _elements(cls, spec, keys, vars):
+    return st.dictionaries(keys, _polys(vars), max_size=4).map(
+        lambda terms: cls(spec, terms))
+
+
+def _element_kinds(spec):
+    """(strategy for elements, strategy for scalars) of each element type."""
+    vecs = st.tuples(*[st.integers(-2, 2)] * spec.datum.rank)
+    ws = st.integers(0, spec.weyl.order - 1)
+    return {
+        "hecke": (_elements(HeckeElement, spec,
+                            st.tuples(vecs, ws, st.just(spec.r_identity)), spec.zvars),
+                  _polys(spec.zvars)),
+        "bernstein": (_elements(BernElement, spec, st.tuples(vecs, ws), spec.zvars),
+                      _polys(spec.zvars)),
+        "graded": (_elements(GradedElement, GRADED_A2, st.tuples(ws, st.just(0)),
+                             GRADED_A2.vars),
+                   _polys(GRADED_A2.vars)),
+    }
+
+
+ELEMENT_KINDS = _element_kinds(HECKE_A2)
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENT_KINDS))
+def test_combination_arithmetic(kind):
+    elements, scalars = ELEMENT_KINDS[kind]
+
+    @settings(max_examples=40, deadline=None)
+    @given(elements, elements, st.one_of(scalars, st.integers(-3, 3)))
+    def check(a, b, c):
+        assert (a + b) - b == a
+        assert (a + (-a)).is_zero()
+        assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+        assert a * c == a.scale(c)
+        assert 2 * a == a * 2 == a + a
+        copy = type(a)(a.spec, dict(a.terms))
+        assert copy == a and hash(copy) == hash(a)
+        assert hash((a + b) - b) == hash(a)
+
+    check()
+
+
+def test_combination_refuses_mixed_sums():
+    for a, b in [(HECKE_A2.unit(), bern_basis(HECKE_A2, (0, 0), 0)),
+                 (HECKE_A1.unit(), HeckeSpec(A1).unit()),
+                 (GRADED_A2.unit(), GradedSpec(A2).unit())]:
+        with pytest.raises(HeckeError):
+            a + b
+        with pytest.raises(HeckeError):
+            b - a
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "doubled A1 with flip"])
+def test_factorize_rebuilds_every_short_key(name):
+    if name == "doubled A1 with flip":
+        datum, rgroup = _doubled_a1_with_flip()
+        spec = HeckeSpec(datum, rgroup=rgroup)
+    else:
+        spec = HeckeSpec({"A2": A2, "C2": C2}[name])
+    ident = spec.r_identity
+    for key in all_keys_up_to_length(spec, 4):
+        word, omega = spec.factorize(key)
+        assert len(word) == spec.key_length((key[0], key[1], ident))
+        assert spec.key_length((omega[0], omega[1], ident)) == 0
+        rebuilt = omega
+        for gen_pos in reversed(word):
+            rebuilt = spec.key_mul_plain(spec.all_gens[gen_pos], rebuilt)
+        assert rebuilt == key
