@@ -180,9 +180,15 @@ def _cmd_weyl(args):
         elt_data = _load_json(args.element)
         if not (isinstance(elt_data, dict) and isinstance(elt_data.get("t"), list)):
             raise ValidationError('an element is an object {"t": [...], "w_word": [...]}')
+        t = elt_data["t"]
+        if not (len(t) == datum.rank and all(type(v) is int for v in t)):
+            raise ValidationError(f"t must be a list of {datum.rank} integers")
         group = WeylGroup.build(datum)
-        wi = group.index_of_word(elt_data["w_word"])
-        elt = ExtAffineElt(tuple(elt_data["t"]), group.element(wi))
+        try:
+            wi = group.index_of_word(elt_data.get("w_word"))
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        elt = ExtAffineElt(tuple(t), group.element(wi))
         return {"length": length(elt, datum)}
     if args.action == "stabilizer":
         pt = tuple(Eig.from_json(e) for e in _load_json(args.point))
@@ -202,24 +208,32 @@ def _load_spec(source) -> HeckeSpec:
     return HeckeSpec(BasedRootDatum.from_json(data))
 
 
+def _load_element(spec: HeckeSpec, source) -> HeckeElement:
+    data = _load_json(source)
+    try:
+        return HeckeElement.from_json(spec, data)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _cmd_hecke(args):
     spec = _load_spec(args.spec)
     if args.action == "mul":
-        a = HeckeElement.from_json(spec, _load_json(args.a))
-        b = HeckeElement.from_json(spec, _load_json(args.b))
+        a = _load_element(spec, args.a)
+        b = _load_element(spec, args.b)
         return {"product": mul_im(spec, a, b).to_json()}
     if args.action == "center-check":
-        a = HeckeElement.from_json(spec, _load_json(args.a))
+        a = _load_element(spec, args.a)
         return {"central": is_central(spec, a)}
     if args.action == "ad-xg":
         x_g = tuple(Fraction(v) for v in args.xg.split(","))
         conj = ad_xg(spec, x_g)
-        a = HeckeElement.from_json(spec, _load_json(args.a))
+        a = _load_element(spec, args.a)
         return {"image": conj(a).to_json()}
     if args.action == "twist":
         psi = [Cyclo.from_json(v) for v in _load_json(args.psi)]
         target, tw = alpha_g_twist(spec, psi)
-        a = HeckeElement.from_json(spec, _load_json(args.a))
+        a = _load_element(spec, args.a)
         return {"image": tw(a).to_json(),
                 "target_cocycle": [[list(k), v.to_json()]
                                    for k, v in sorted(target.cocycle.items())]}

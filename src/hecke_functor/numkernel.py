@@ -9,8 +9,12 @@ Two kinds of scalars live here:
   minimal: a value that happens to lie in a smaller cyclotomic field is
   rewritten there, so equality is plain structural equality.
 
-* `LaurentPoly` -- Laurent polynomials with `Cyclo` coefficients in a fixed
-  ordered tuple of named invertible parameters.
+* `LaurentPoly` -- Laurent polynomials in a fixed ordered tuple of named
+  invertible parameters.  A rational coefficient is stored as a plain `int`
+  (or a `Fraction` when it is not integral) and only an irrational one as a
+  `Cyclo`; every operation puts its result in this form.  The Hecke-algebra
+  structure constants lie in Z[z, z^-1], so the kernel's products and sums
+  run on Python ints and never build a `Cyclo`.
 
 No floating point is used anywhere.
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -524,35 +529,99 @@ def cyclo_root_of_unity(a: int, n: int) -> Cyclo:
 # ---------------------------------------------------------------------------
 # LaurentPoly
 
+_SCALARS = (int, Fraction, Cyclo)
+
+
+def _scalar(c):
+    """c in the form a coefficient is stored in: an int or a Fraction for a
+    rational value (an int when it is integral), a Cyclo only for conductor > 1.
+
+    >>> _scalar(Cyclo.rational(Fraction(4, 2))), _scalar(Fraction(1, 3))
+    (2, Fraction(1, 3))
+    """
+    t = type(c)
+    if t is int:
+        return c
+    if t is Cyclo:
+        if c.n != 1:
+            return c
+        c = c.coeffs.get(0, 0)
+    elif isinstance(c, int):
+        return int(c)
+    elif not isinstance(c, Fraction):
+        raise TypeError(f"not a scalar: {c!r}")
+    return c.numerator if c.denominator == 1 else c
+
+
+def _normalized(terms: dict) -> dict:
+    """terms with every value in stored form and the zero values dropped."""
+    out = {}
+    for e, c in terms.items():
+        c = _scalar(c)
+        if c:
+            out[e] = c
+    return out
+
+
+def _has_cyclo(terms: dict) -> bool:
+    return Cyclo in map(type, terms.values())
+
+
+def _coeff_from_json(data):
+    """Decode a coefficient written by `Cyclo.to_json`; ValueError on any
+    other shape."""
+    if not (isinstance(data, dict) and type(data.get("n")) is int and data["n"] >= 1
+            and isinstance(data.get("coeffs"), list)
+            and all(isinstance(kv, list) and len(kv) == 2 and type(kv[0]) is int
+                    and type(kv[1]) in (int, str) for kv in data["coeffs"])):
+        raise ValueError('a coefficient is an object {"n": conductor, '
+                         '"coeffs": [[power, "p/q"], ...]}')
+    try:
+        return Cyclo.from_json(data)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the coefficient {data!r}")
+
 
 class LaurentPoly:
-    """Laurent polynomial over Cyclo in a fixed ordered tuple of variable names.
+    """Laurent polynomial in a fixed ordered tuple of variable names.
 
     Terms map exponent tuples (ints, one per variable, possibly negative) to
-    nonzero Cyclo coefficients.  Immutable.
+    nonzero coefficients: an int or a Fraction for a rational value, a Cyclo
+    only for an irrational one.  So equal polynomials have equal terms and
+    equal hashes.  Immutable.
     """
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, vars: Iterable[str], terms: Mapping[tuple[int, ...], Cyclo] | None = None):
+    def __init__(self, vars: Iterable[str],
+                 terms: Mapping[tuple[int, ...], int | Fraction | Cyclo] | None = None):
         vs = tuple(vars)
-        clean: dict[tuple[int, ...], Cyclo] = {}
+        clean: dict[tuple[int, ...], int | Fraction | Cyclo] = {}
         for exps, c in (terms or {}).items():
-            if not isinstance(c, Cyclo):
-                c = Cyclo(c)
+            c = _scalar(c)
             if len(exps) != len(vs):
                 raise ValueError("exponent tuple length mismatch")
-            if not c.is_zero():
+            if c:
                 e = tuple(int(x) for x in exps)
                 prev = clean.get(e)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    clean.pop(e, None)
-                else:
+                if prev is not None:
+                    c = _scalar(prev + c)
+                if c:
                     clean[e] = c
+                else:
+                    del clean[e]
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _raw(vars: tuple[str, ...], terms: dict) -> "LaurentPoly":
+        """Wrap terms already in stored form without checking them.  Internal."""
+        self = object.__new__(LaurentPoly)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -562,7 +631,6 @@ class LaurentPoly:
     @staticmethod
     def constant(vars: Iterable[str], c) -> "LaurentPoly":
         vs = tuple(vars)
-        c = c if isinstance(c, Cyclo) else Cyclo(c)
         return LaurentPoly(vs, {(0,) * len(vs): c})
 
     @staticmethod
@@ -570,7 +638,7 @@ class LaurentPoly:
         vs = tuple(vars)
         e = [0] * len(vs)
         e[vs.index(name)] = power
-        return LaurentPoly(vs, {tuple(e): coeff if isinstance(coeff, Cyclo) else Cyclo(coeff)})
+        return LaurentPoly(vs, {tuple(e): coeff})
 
     # -- queries -------------------------------------------------------------
 
@@ -582,55 +650,87 @@ class LaurentPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "LaurentPoly"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+    def _operand(self, other):
+        """other as a LaurentPoly over self.vars, or None for a foreign type."""
+        if type(other) is LaurentPoly:
+            if other.vars != self.vars:
+                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            return other
+        if isinstance(other, _SCALARS):
+            return LaurentPoly.constant(self.vars, other)
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = LaurentPoly.constant(self.vars, other)
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.vars, out)
+            if s is not None:
+                c = s + c
+                if type(c) is Cyclo:
+                    c = _scalar(c)
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return LaurentPoly._raw(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            other = LaurentPoly.constant(self.vars, other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def scale(self, c) -> "LaurentPoly":
+        """c times self, for a scalar c."""
+        c = _scalar(c)
+        if not c:
+            return LaurentPoly._raw(self.vars, {})
+        if c == 1:
+            return self
+        out = {e: v * c for e, v in self.terms.items()}
+        if _has_cyclo(out):
+            out = _normalized(out)
+        return LaurentPoly._raw(self.vars, out)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            c = other if isinstance(other, Cyclo) else Cyclo(other)
-            if c.is_zero():
-                return LaurentPoly(self.vars)
-            return LaurentPoly(self.vars, {e: v * c for e, v in self.terms.items()})
-        self._check(other)
-        out: dict[tuple[int, ...], Cyclo] = {}
+        if type(other) is not LaurentPoly:
+            if isinstance(other, _SCALARS):
+                return self.scale(other)
+            return NotImplemented
+        if other.vars != self.vars:
+            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        # most specs have one parameter z; adding 1-tuples directly takes
+        # half the time of tuple(map(add, ...))
+        univariate = len(self.vars) == 1
+        out: dict[tuple[int, ...], int | Fraction | Cyclo] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = (e1[0] + e2[0],) if univariate else tuple(map(add, e1, e2))
+                c = c1 * c2
                 s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
+                if s is None:
+                    out[e] = c
                 else:
-                    out[e] = s
-        return LaurentPoly(self.vars, out)
+                    c = s + c
+                    if c:
+                        out[e] = c
+                    else:
+                        del out[e]
+        # a product or sum with a Cyclo factor may be rational, even zero
+        if _has_cyclo(out):
+            out = _normalized(out)
+        return LaurentPoly._raw(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -647,12 +747,13 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible")
         (e, c), = self.terms.items()
-        return LaurentPoly(self.vars, {tuple(-x for x in e): c.inverse()})
+        inv = c.inverse() if type(c) is Cyclo else _scalar(1 / Fraction(c))
+        return LaurentPoly._raw(self.vars, {tuple(-x for x in e): inv})
 
     # -- comparison ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, _SCALARS):
             other = LaurentPoly.constant(self.vars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -672,19 +773,38 @@ class LaurentPoly:
         for e in sorted(self.terms):
             factors = [f"{v}^{p}" for v, p in zip(self.vars, e) if p]
             mono = "*".join(factors) or "1"
-            parts.append(f"({self.terms[e]!r})*{mono}")
+            c = self.terms[e]
+            coeff = repr(c) if type(c) is Cyclo else f"Cyclo({c})"
+            parts.append(f"({coeff})*{mono}")
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
     # -- json --------------------------------------------------------------------
 
     def to_json(self):
         return {"vars": list(self.vars),
-                "terms": [[list(e), c.to_json()] for e, c in sorted(self.terms.items())]}
+                "terms": [[list(e), c.to_json() if type(c) is Cyclo
+                           else {"n": 1, "coeffs": [[0, str(c)]]}]
+                          for e, c in sorted(self.terms.items())]}
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        return LaurentPoly(tuple(data["vars"]),
-                           {tuple(e): Cyclo.from_json(c) for e, c in data["terms"]})
+        """Decode the form `to_json` writes; ValueError on any other shape."""
+        if not (isinstance(data, dict) and isinstance(data.get("vars"), list)
+                and all(isinstance(v, str) for v in data["vars"])
+                and len(set(data["vars"])) == len(data["vars"])
+                and isinstance(data.get("terms"), list)):
+            raise ValueError('a polynomial is an object {"vars": [distinct names], '
+                             '"terms": [[exponents, coefficient], ...]}')
+        vs = tuple(data["vars"])
+        terms = {}
+        for term in data["terms"]:
+            if not (isinstance(term, list) and len(term) == 2
+                    and isinstance(term[0], list) and len(term[0]) == len(vs)
+                    and all(type(k) is int for k in term[0])):
+                raise ValueError(f"each polynomial term is a pair [exponents, coefficient] "
+                                 f"with {len(vs)} integer exponents")
+            terms[tuple(term[0])] = _coeff_from_json(term[1])
+        return LaurentPoly(vs, terms)
 
 
 def laurent_eval(p: LaurentPoly, point: Mapping[str, Cyclo]) -> Cyclo:

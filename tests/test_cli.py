@@ -166,10 +166,17 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     # an R-group index on a trivial R-group
     ["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
      json.dumps([[{"t": [0, 0], "w_word": [], "r": 3}, _ONE]])],
+    # a polynomial whose terms are not a list
+    ["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
+     json.dumps([[{"t": [0, 0], "w_word": []}, {"vars": ["z"], "terms": 5}]])],
+    # a polynomial in a variable the spec does not have
+    ["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
+     json.dumps([[{"t": [0, 0], "w_word": []}, dict(_ONE, vars=["q"])]])],
 ])
 def test_malformed_element_is_refused(args, capsys):
     code, out, err = run_cli(args, capsys)
-    assert code in (1, 2)
+    assert code == 2
+    assert err.startswith("validation error")
     assert out == ""
     assert len(err.strip().splitlines()) == 1
 

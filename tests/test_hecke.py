@@ -10,8 +10,8 @@ from hecke_functor.numkernel import Cyclo, LaurentPoly, cyclo_root_of_unity
 from hecke_functor.rootdata import build_classical, direct_sum
 from hecke_functor.bernstein import BernElement, bern_basis, bern_to_im, mul_bernstein
 from hecke_functor.hecke import (
-    GradedElement, GradedSpec, HeckeElement, HeckeError, HeckeSpec, ad_xg,
-    alpha_g_twist, blz_check, graded_mul, hom_from_big, intermediate_algebra,
+    GradedElement, GradedSpec, HeckeElement, HeckeError, HeckeSpec, _basis_mul_plain,
+    ad_xg, alpha_g_twist, blz_check, graded_mul, hom_from_big, intermediate_algebra,
     is_central, mul_im, theta,
 )
 
@@ -519,6 +519,104 @@ def test_intermediate_cocycle_compatibility():
 
 
 # ---------------------------------------------------------------------------
+# the R-group tables and conjugation against the matrix computation
+
+
+def _nontrivial_rgroup_specs():
+    datum, flip = _doubled_a1_with_flip()
+    i = cyclo_root_of_unity(1, 4)
+    one = Cyclo.rational(1)
+    clifford = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): i}
+    small = HeckeSpec(datum, params={0: "z", 1: "z"})
+    cyclic = [((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
+    swaps = [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+             ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
+    return {
+        "flip": HeckeSpec(datum, rgroup=flip),
+        "Clifford cocycle": HeckeSpec(datum, rgroup=flip, cocycle=clifford),
+        "intermediate_algebra": intermediate_algebra(small, flip, clifford).big,
+        "S3 on three A1": HeckeSpec(direct_sum(A1, A1, A1),
+                                    rgroup=[il.identity(3)] + cyclic + swaps),
+    }
+
+
+RGROUP_SPECS = _nontrivial_rgroup_specs()
+
+
+def _matrix_conj(spec, gi, a):
+    g = spec.rgroup[gi]
+    ginv = il.inverse_unimodular(g)
+    m = il.mat_mul(il.mat_mul(g, spec.weyl.matrices[a[1]]), ginv)
+    return (tuple(il.mat_vec(g, a[0])), spec.weyl.index_of(m))
+
+
+def _matrix_mul_im(spec, a, b):
+    """mul_im with every R-group operation done on the matrices."""
+    out = {}
+    for (x, wi, gi), p in a.terms.items():
+        for (y, vi, hi), q in b.terms.items():
+            conj = _matrix_conj(spec, gi, (y, vi))
+            tail_r = spec.r_index[tuple(map(tuple, il.mat_mul(spec.rgroup[gi],
+                                                             spec.rgroup[hi])))]
+            coeff = p * q * spec.cocycle[(gi, hi)]
+            for (z, ui, _), c in _basis_mul_plain(spec, (x, wi), conj).items():
+                key = (z, ui, tail_r)
+                out[key] = out[key] + c * coeff if key in out else c * coeff
+    return HeckeElement(spec, out)
+
+
+def _random_rgroup_element(rng, spec):
+    z = LaurentPoly.monomial(spec.zvars, spec.zvars[0])
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        x = tuple(rng.randint(-1, 1) for _ in range(spec.datum.rank))
+        key = (x, rng.randrange(spec.weyl.order), rng.randrange(len(spec.rgroup)))
+        terms[key] = z ** rng.randint(-1, 1) * rng.choice([1, -2, Fraction(1, 2)])
+    return HeckeElement(spec, terms)
+
+
+@pytest.mark.parametrize("name", sorted(RGROUP_SPECS))
+def test_rgroup_tables_match_matrices(name):
+    spec = RGROUP_SPECS[name]
+    n = len(spec.rgroup)
+    for i, j in itertools.product(range(n), repeat=2):
+        product = il.mat_mul(spec.rgroup[i], spec.rgroup[j])
+        assert spec.rgroup[spec.r_mul(i, j)] == tuple(map(tuple, product))
+    for i in range(n):
+        inverse = il.inverse_unimodular(spec.rgroup[i])
+        assert spec.rgroup[spec.r_inv(i)] == tuple(map(tuple, inverse))
+    vectors = list(itertools.product(range(-1, 2), repeat=spec.datum.rank))
+    for gi in range(n):
+        for wi in range(spec.weyl.order):
+            for x in vectors:
+                assert spec.conj_by_r(gi, (x, wi)) == _matrix_conj(spec, gi, (x, wi))
+
+
+@pytest.mark.parametrize("name", sorted(RGROUP_SPECS))
+def test_rgroup_products_match_matrix_computation(name):
+    spec = RGROUP_SPECS[name]
+    rng = random.Random(11)
+    gens = [spec.n_r(i) for i in range(len(spec.rgroup))]
+    gens += [spec.n_simple(j) for j in range(len(spec.datum.simples))]
+    for _ in range(25):
+        a, b = _random_rgroup_element(rng, spec), _random_rgroup_element(rng, spec)
+        assert mul_im(spec, a, b) == _matrix_mul_im(spec, a, b)
+    for a, b in itertools.product(gens, repeat=2):
+        assert mul_im(spec, a, b) == _matrix_mul_im(spec, a, b)
+
+
+@pytest.mark.parametrize("name,x_g", [("Clifford cocycle", (1, 0)),
+                                      ("S3 on three A1", (1, 0, 0))])
+def test_rgroup_ad_map_matches_matrix_computation(name, x_g):
+    spec = RGROUP_SPECS[name]
+    ad = ad_xg(spec, x_g)
+    rng = random.Random(12)
+    for _ in range(8):
+        a, b = _random_rgroup_element(rng, spec), _random_rgroup_element(rng, spec)
+        assert ad(_matrix_mul_im(spec, a, b)) == _matrix_mul_im(spec, ad(a), ad(b))
+
+
+# ---------------------------------------------------------------------------
 # the shared linear structure of the three element types and the
 # reduced factorization of basis keys
 
@@ -568,6 +666,7 @@ def test_combination_arithmetic(kind):
         assert (a + (-a)).is_zero()
         assert (a + b).scale(c) == a.scale(c) + b.scale(c)
         assert a * c == a.scale(c)
+        assert c * a == a * c
         assert 2 * a == a * 2 == a + a
         copy = type(a)(a.spec, dict(a.terms))
         assert copy == a and hash(copy) == hash(a)

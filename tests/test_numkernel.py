@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hecke_functor.numkernel import (
     Cyclo, LaurentPoly, cyclo_root_of_unity, laurent_eval,
@@ -161,3 +162,131 @@ def test_laurent_json_round_trip():
     for _ in range(10):
         a = _random_laurent(rng)
         assert LaurentPoly.from_json(a.to_json()) == a
+
+
+# ---------------------------------------------------------------------------
+# LaurentPoly against a naive dict-of-Cyclo reference
+
+_CONDUCTORS = (3, 4, 8, 12)
+
+
+def _cyclo_values():
+    """Rationals, and sums of roots of unity of conductor 3, 4, 8 or 12 with
+    small rational weights (some of which collapse to rationals)."""
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    roots = st.builds(lambda n, parts: sum(
+        (cyclo_root_of_unity(k, n) * q for k, q in parts), Cyclo.rational(0)),
+        st.sampled_from(_CONDUCTORS),
+        st.lists(st.tuples(st.integers(0, 23), rationals), max_size=3))
+    return st.one_of(rationals.map(Cyclo.rational), roots)
+
+
+def _ref_terms(vars):
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars))
+    return st.dictionaries(exps, _cyclo_values(), max_size=4)
+
+
+def _as_cyclo(c):
+    return c if isinstance(c, Cyclo) else Cyclo.rational(c)
+
+
+def _ref_clean(terms):
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return _ref_clean(out)
+
+
+def _matches(poly, ref):
+    """poly holds exactly the reference's terms, in stored form."""
+    for c in poly.terms.values():
+        assert type(c) in (int, Fraction) or (type(c) is Cyclo and c.n > 1)
+        assert c != 0
+    return {e: _as_cyclo(c) for e, c in poly.terms.items()} == _ref_clean(ref)
+
+
+@pytest.mark.parametrize("vars", [("z",), ("z", "w")])
+def test_laurent_matches_dict_of_cyclo_reference(vars):
+    @settings(max_examples=60, deadline=None)
+    @given(_ref_terms(vars), _ref_terms(vars), _cyclo_values())
+    def check(ta, tb, c):
+        a, b = LaurentPoly(vars, ta), LaurentPoly(vars, tb)
+        assert _matches(a, ta) and _matches(b, tb)
+        assert _matches(a + b, _ref_add(ta, tb))
+        assert _matches(a - b, _ref_add(ta, {e: -v for e, v in tb.items()}))
+        assert _matches(-a, {e: -v for e, v in ta.items()})
+        assert _matches(a * b, _ref_mul(ta, tb))
+        scaled = {e: v * c for e, v in ta.items()}
+        assert _matches(a.scale(c), scaled)
+        assert _matches(a * c, scaled) and _matches(c * a, scaled)
+        rational = c.rational_value() if c.is_rational() else None
+        if rational is not None:
+            assert _matches(a * rational, scaled) and _matches(rational * a, scaled)
+        # equality and hashing are structural: a polynomial built another way
+        # from the same value is equal and hashes alike
+        again = LaurentPoly(vars, _ref_add(ta, {}))
+        assert again == a and hash(again) == hash(a)
+        total = (a + b) - b
+        assert total == a and hash(total) == hash(a)
+        assert (a == b) == (_ref_clean(ta) == _ref_clean(tb))
+        # the JSON form is the reference's, coefficient by coefficient
+        form = a.to_json()
+        assert form == {"vars": list(vars),
+                        "terms": [[list(e), v.to_json()]
+                                  for e, v in sorted(_ref_clean(ta).items())]}
+        back = LaurentPoly.from_json(form)
+        assert back == a and hash(back) == hash(a)
+
+    check()
+
+
+def test_laurent_repr_and_json_of_rationals():
+    z = _z()
+    p = (z - z ** -1) * Fraction(1, 2) + 3
+    assert repr(p) == ("LaurentPoly((Cyclo(-1/2))*z^-1 + (Cyclo(3))*1 + "
+                       "(Cyclo(1/2))*z^1)")
+    assert LaurentPoly.constant(("z",), 1).to_json() == {
+        "vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
+    assert (p * 2).terms[(1,)] == 1
+
+
+def test_laurent_foreign_operand_is_not_implemented():
+    z = _z()
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        assert getattr(z, op)("x") is NotImplemented
+    with pytest.raises(TypeError):
+        z * "x"
+    with pytest.raises(ValueError):
+        z + LaurentPoly.monomial(("w",), "w")
+
+
+@pytest.mark.parametrize("data", [
+    5,
+    {"vars": "z", "terms": []},
+    {"vars": ["z", "z"], "terms": []},
+    {"vars": ["z"], "terms": 5},
+    {"vars": ["z"], "terms": [[0, {"n": 1, "coeffs": [[0, "1"]]}]]},
+    {"vars": ["z"], "terms": [[[0, 1], {"n": 1, "coeffs": [[0, "1"]]}]]},
+    {"vars": ["z"], "terms": [[["0"], {"n": 1, "coeffs": [[0, "1"]]}]]},
+    {"vars": ["z"], "terms": [[[0], 1]]},
+    {"vars": ["z"], "terms": [[[0], {"n": 0, "coeffs": []}]]},
+    {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, 1.5]]}]]},
+    {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "x"]]}]]},
+    {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1/0"]]}]]},
+])
+def test_laurent_from_json_refuses_malformed(data):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(data)
