@@ -96,6 +96,15 @@ def _load_json(source: str):
     raise ValidationError(f"no such input: {source!r}")
 
 
+def _decode(decoder, data):
+    """Run a `from_json` decoder on input; a shape it refuses is a validation
+    error."""
+    try:
+        return decoder(data)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _emit(args, payload):
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
@@ -147,7 +156,7 @@ def _cmd_rootdatum(args):
         datum = build_classical(args.family, args.n, args.isogeny)
         return datum.to_json()
     if args.action == "factorize":
-        mor = RDMorphism.from_json(_load_json(args.input))
+        mor = _decode(RDMorphism.from_json, _load_json(args.input))
         verdict = is_condition1(mor)
         if not verdict:
             return {"admissible": False, "reasons": list(verdict.reasons)}
@@ -157,7 +166,7 @@ def _cmd_rootdatum(args):
                 "kernel_invariants": list(fact.kernel_invariants),
                 "f3_char_map": [list(r) for r in fact.f3.char_map],
                 "recomposes": fact.recompose().char_map == mor.char_map}
-    datum = BasedRootDatum.from_json(_load_json(args.input))
+    datum = _decode(BasedRootDatum.from_json, _load_json(args.input))
     if args.action == "validate":
         datum.validate()
         return {"valid": True, "rank": datum.rank, "roots": len(datum.roots)}
@@ -171,7 +180,7 @@ def _cmd_rootdatum(args):
 
 
 def _cmd_weyl(args):
-    datum = BasedRootDatum.from_json(_load_json(args.input))
+    datum = _decode(BasedRootDatum.from_json, _load_json(args.input))
     if args.action == "enumerate":
         group = WeylGroup.build(datum)
         return {"order": group.order,
@@ -191,7 +200,10 @@ def _cmd_weyl(args):
         elt = ExtAffineElt(tuple(t), group.element(wi))
         return {"length": length(elt, datum)}
     if args.action == "stabilizer":
-        pt = tuple(Eig.from_json(e) for e in _load_json(args.point))
+        pt = _load_json(args.point)
+        if not (isinstance(pt, list) and len(pt) == datum.rank):
+            raise ValidationError(f"a point is a list of {datum.rank} eigenvalues")
+        pt = tuple(_decode(Eig.from_json, e) for e in pt)
         stab = stabilizer_of_point(datum, pt, projective=args.projective)
         return {"order": stab.order,
                 "generator_words": [list(g.word) for g in stab.generators]}
@@ -205,15 +217,11 @@ def _load_spec(source) -> HeckeSpec:
     data = _load_json(source)
     if "labels" in data:
         return HeckeSpec.from_json(data)
-    return HeckeSpec(BasedRootDatum.from_json(data))
+    return HeckeSpec(_decode(BasedRootDatum.from_json, data))
 
 
 def _load_element(spec: HeckeSpec, source) -> HeckeElement:
-    data = _load_json(source)
-    try:
-        return HeckeElement.from_json(spec, data)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return _decode(lambda data: HeckeElement.from_json(spec, data), _load_json(source))
 
 
 def _cmd_hecke(args):
@@ -241,7 +249,7 @@ def _cmd_hecke(args):
 
 
 def _cmd_finrep(args):
-    group = FiniteGroup.from_json(_load_json(args.group))
+    group = _decode(FiniteGroup.from_json, _load_json(args.group))
     if args.action == "irreducibles":
         chars = irreducibles(group)
         return {"degrees": sorted(c.degree for c in chars),

@@ -55,8 +55,10 @@ class FiniteGroup:
             if len(row) != n or any(not 0 <= v < n for v in row):
                 raise FinRepError("malformed multiplication table")
         self.identity = self._find_identity()
-        self._inverse = [next(j for j in range(n) if self.table[i][j] == self.identity)
-                         for i in range(n)]
+        try:
+            self._inverse = [row.index(self.identity) for row in self.table]
+        except ValueError:
+            raise FinRepError("an element has no inverse") from None
         self._check_group()
         self.names = list(names) if names else [f"g{i}" for i in range(n)]
         self.marked_subgroups: dict[str, frozenset[int]] = {}
@@ -209,6 +211,17 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(data) -> "FiniteGroup":
+        """Decode the form `to_json` writes; FinRepError on any other shape."""
+        if not (isinstance(data, dict) and isinstance(data.get("table"), list)
+                and all(isinstance(row, list) and all(type(v) is int for v in row)
+                        for row in data["table"])
+                and isinstance(data.get("subgroups", {}), dict)
+                and all(isinstance(elems, list)
+                        and all(type(v) is int and 0 <= v < len(data["table"])
+                                for v in elems)
+                        for elems in data.get("subgroups", {}).values())):
+            raise FinRepError('a group is an object {"table": [[int, ...], ...], '
+                              '"subgroups": {name: [element, ...]}}')
         return FiniteGroup(data["table"], data.get("subgroups", {}))
 
 

@@ -21,6 +21,7 @@ rho to rho (x) tau(t)^-1; `flip_twist=True` flips it for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import intlattice as il
@@ -67,7 +68,14 @@ def _factor_datum(kind: str, n: int) -> BasedRootDatum:
 
 
 def tag_root_datum(tag: GroupTag) -> BasedRootDatum:
-    return direct_sum(*[_factor_datum(kind, n) for kind, n in tag.factors])
+    return _tag_root_datum(tag.factors)
+
+
+@lru_cache(maxsize=256)
+def _tag_root_datum(factors: tuple[tuple[str, int], ...]) -> BasedRootDatum:
+    # the datum depends on the factors only, not on the labels zeta; bounded,
+    # since torus ranks read from JSON have no upper limit
+    return direct_sum(*[_factor_datum(kind, n) for kind, n in factors])
 
 
 def _sl_gl_char_matrix(n: int):
@@ -125,10 +133,8 @@ class _Step:
 
     def char_matrix(self):
         """X(cod-datum) -> X(dom-datum)."""
-        dom_datum = tag_root_datum(self.dom)
-        cod_datum = tag_root_datum(self.cod)
         if self.kind in ("identity", "ad"):
-            return il.identity(dom_datum.rank)
+            return il.identity(tag_root_datum(self.dom).rank)
         (k_dom, n), = self.dom.factors[:1]
         if self.kind == "sl_gl":
             return _sl_gl_char_matrix(n)
@@ -142,13 +148,13 @@ class _Step:
             # weight/root lattice bases: the diagram flip is the reversal
             return _reversal_matrix(max(n - 1, 0), False) if n > 1 else ()
         if self.kind == "torus_ins":
-            r = dom_datum.rank
-            extra = cod_datum.rank - r
+            r = tag_root_datum(self.dom).rank
+            extra = tag_root_datum(self.cod).rank - r
             return tuple(tuple(1 if i == j else 0 for j in range(r + extra))
                          for i in range(r))
         if self.kind == "torus_proj":
-            r = cod_datum.rank
-            extra = dom_datum.rank - r
+            r = tag_root_datum(self.cod).rank
+            extra = tag_root_datum(self.dom).rank - r
             return tuple(tuple(1 if i == j else 0 for j in range(r))
                          for i in range(r + extra))
         raise FunctorError(f"unknown step kind {self.kind!r}")
@@ -185,7 +191,7 @@ class _Step:
                        ) -> list[int]:
         """For each element of comp_cod, its image index in comp_dom."""
         if self.kind in ("identity", "ad"):
-            return self._match_by_pairs(comp_cod, comp_dom, same=True)
+            return self._match_by_pairs(comp_cod, comp_dom)
         if self.kind == "torus_ins":
             out = []
             for i in range(comp_cod.order):
@@ -216,7 +222,7 @@ class _Step:
             return out
         raise FunctorError(f"unknown step kind {self.kind!r}")
 
-    def _match_by_pairs(self, comp_cod, comp_dom, same: bool) -> list[int]:
+    def _match_by_pairs(self, comp_cod, comp_dom) -> list[int]:
         return [_find_by_pairs(comp_dom, comp_cod.pair_data(i))
                 for i in range(comp_cod.order)]
 
@@ -270,7 +276,7 @@ class GroupHomDesc:
             for step in self.steps:
                 cur = RDMorphism(tag_root_datum(step.dom), tag_root_datum(step.cod),
                                  step.char_matrix())
-                mor = cur if mor is None else _compose_rd(mor, cur)
+                mor = cur if mor is None else mor.compose(cur)
             verdict = is_condition1(mor)
             if not verdict:
                 raise FunctorError("lattice map is not admissible: "
@@ -288,10 +294,6 @@ class GroupHomDesc:
         return "GroupHomDesc(" + " -> ".join(
             [self.steps[0].dom.factors.__repr__()]
             + [s.kind for s in self.steps]) + ")"
-
-
-def _compose_rd(f: RDMorphism, g: RDMorphism) -> RDMorphism:
-    return f.compose(g)
 
 
 def hom_identity(tag: GroupTag) -> GroupHomDesc:

@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+# The largest conductor a JSON coefficient may carry.  Desk-scale objects stay
+# far below it (group exponents <= 64, ranks <= 8); decoding costs grow
+# faster than linearly in the conductor, about 0.3 s at the guard.
+CONDUCTOR_GUARD = 1000
+
+
 # ---------------------------------------------------------------------------
 # integer / polynomial helpers
 
@@ -436,8 +442,10 @@ class Cyclo:
 
     @staticmethod
     def from_json(data) -> "Cyclo":
-        return Cyclo._make(int(data["n"]),
-                           {int(k): Fraction(v) for k, v in data["coeffs"]})
+        n = int(data["n"])
+        if not 1 <= n <= CONDUCTOR_GUARD:
+            raise ValueError(f"conductor {n} outside 1..{CONDUCTOR_GUARD}")
+        return Cyclo._make(n, {int(k): Fraction(v) for k, v in data["coeffs"]})
 
 
 _CYCLO_ZERO = Cyclo(0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import intlattice as il
 from .intlattice import IntMatrix
@@ -181,10 +182,28 @@ class BasedRootDatum:
 
     @staticmethod
     def from_json(data) -> "BasedRootDatum":
-        return BasedRootDatum(int(data["rank"]),
-                              tuple(tuple(r) for r in data["roots"]),
-                              tuple(tuple(c) for c in data["coroots"]),
-                              tuple(data["simples"]))
+        """Decode the form `to_json` writes; RootDatumError on any other shape."""
+        if not (isinstance(data, dict) and type(data.get("rank")) is int
+                and data["rank"] >= 0):
+            raise RootDatumError('a root datum is an object {"rank": r, "roots": [...], '
+                                 '"coroots": [...], "simples": [...]}')
+        rank = data["rank"]
+        for key in ("roots", "coroots"):
+            if not _is_int_rows(data.get(key), rank):
+                raise RootDatumError(f"{key} must be a list of vectors of {rank} integers")
+        roots, simples = data["roots"], data.get("simples")
+        if not (isinstance(simples, list)
+                and all(type(i) is int and 0 <= i < len(roots) for i in simples)):
+            raise RootDatumError(f"simples must be a list of root indices below {len(roots)}")
+        return BasedRootDatum(rank, tuple(map(tuple, roots)),
+                              tuple(map(tuple, data["coroots"])), tuple(simples))
+
+
+def _is_int_rows(rows, width: int) -> bool:
+    """Is `rows` a JSON list of lists of `width` integers each?"""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and len(r) == width and all(type(x) is int for x in r)
+        for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +263,14 @@ def build_classical(family: str, n: int, isogeny: str | None = None) -> BasedRoo
     >>> build_classical("A", 1, "sc")
     BasedRootDatum(rank=1, roots=((-2,), (2,)), coroots=((-1,), (1,)), simples=(1,))
     """
+    return _build_classical(family, n, None if family == "GL" else isogeny)
+
+
+@lru_cache(maxsize=None)
+def _build_classical(family: str, n: int, isogeny: str | None) -> BasedRootDatum:
+    # one frozen datum per valid key, built and validated once per process
+    # (at most 72 keys are valid); errors are not cached, so a bad key raises
+    # on every call.  The public name stays a plain function.
     if family == "GL":
         if not 1 <= n <= MAX_CLASSICAL_RANK:
             raise RootDatumError(f"unsupported rank {n} for GL")
@@ -381,9 +408,18 @@ class RDMorphism:
 
     @staticmethod
     def from_json(data) -> "RDMorphism":
-        return RDMorphism(BasedRootDatum.from_json(data["source"]),
-                          BasedRootDatum.from_json(data["target"]),
-                          tuple(tuple(r) for r in data["char_map"]))
+        """Decode the form `to_json` writes; RootDatumError on any other shape."""
+        if not (isinstance(data, dict)
+                and all(k in data for k in ("source", "target", "char_map"))):
+            raise RootDatumError('a morphism is an object {"source": datum, '
+                                 '"target": datum, "char_map": [[...], ...]}')
+        source = BasedRootDatum.from_json(data["source"])
+        target = BasedRootDatum.from_json(data["target"])
+        char_map = data["char_map"]
+        if not (_is_int_rows(char_map, target.rank) and len(char_map) == source.rank):
+            raise RootDatumError(f"char_map must be a {source.rank} x {target.rank} "
+                                 "integer matrix")
+        return RDMorphism(source, target, tuple(map(tuple, char_map)))
 
 
 @dataclass(frozen=True)

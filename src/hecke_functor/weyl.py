@@ -305,7 +305,14 @@ class Eig:
 
     @staticmethod
     def from_json(data) -> "Eig":
-        return Eig(Fraction(data["q"]), Fraction(data["angle"]))
+        """Decode the form `to_json` writes; ValueError on any other shape."""
+        if not (isinstance(data, dict)
+                and all(type(data.get(k)) in (int, str) for k in ("q", "angle"))):
+            raise ValueError('an eigenvalue is an object {"q": "p/q", "angle": "p/q"}')
+        try:
+            return Eig(Fraction(data["q"]), Fraction(data["angle"]))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the eigenvalue {data!r}") from None
 
     @staticmethod
     def root_of_unity(a: int, n: int) -> "Eig":

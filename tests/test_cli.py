@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hecke_functor.cli import main
+from hecke_functor.numkernel import CONDUCTOR_GUARD
 
 
 def run_cli(args, capsys):
@@ -172,6 +173,14 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     # a polynomial in a variable the spec does not have
     ["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
      json.dumps([[{"t": [0, 0], "w_word": []}, dict(_ONE, vars=["q"])]])],
+    # a point whose coordinates are not eigenvalue objects
+    ["weyl", "stabilizer", "--in", "datum:gl3", "--point", "[[0,0],[0,0],[0,0]]"],
+    # a point with fewer coordinates than the rank
+    ["weyl", "stabilizer", "--in", "datum:gl3", "--point", '[{"q": "0", "angle": "0"}]'],
+    # a morphism without a target or a character map
+    ["rootdatum", "factorize", "--in", '{"source":1}'],
+    # a table in which one element has no inverse
+    ["finrep", "irreducibles", "--group", '{"table":[[0,1],[1,1]]}'],
 ])
 def test_malformed_element_is_refused(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -179,6 +188,22 @@ def test_malformed_element_is_refused(args, capsys):
     assert err.startswith("validation error")
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("conductor", [0, -3, CONDUCTOR_GUARD + 1, 10 ** 6])
+def test_conductor_outside_the_guard_is_refused(conductor, capsys, monkeypatch):
+    from hecke_functor import numkernel
+
+    def refuse(n):
+        raise AssertionError(f"cyclotomic polynomial of conductor {n} requested")
+    monkeypatch.setattr(numkernel, "_cyclotomic_poly", refuse)
+    coeff = {"n": conductor, "coeffs": [[1, "1"]]}
+    code, out, err = run_cli(["hecke", "mul", "--spec", "datum:a2sc", "--b", "[]", "--a",
+                              json.dumps([[{"t": [0, 0], "w_word": []},
+                                           dict(_ONE, terms=[[[0], coeff]])]])], capsys)
+    assert code == 2
+    assert err.startswith("validation error")
+    assert out == ""
 
 
 def test_computation_exit_code(capsys):

@@ -317,6 +317,16 @@ def test_group_json_round_trip():
     assert g2.marked_subgroups == g.marked_subgroups
 
 
+@pytest.mark.parametrize("data", [
+    {"table": [[0, 1], [1, 1]]},                 # element 1 has no inverse
+    {"table": 5}, {"table": [[0, "1"], [1, 0]]}, [[0]],
+    {"table": [[0]], "subgroups": {"h": [1]}},
+])
+def test_malformed_group_json_is_refused(data):
+    with pytest.raises(FinRepError):
+        FiniteGroup.from_json(data)
+
+
 def test_matrix_representation_character():
     # the 2-dimensional representation of S_3 on the zero-sum plane
     g = FiniteGroup.symmetric(3)

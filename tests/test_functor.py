@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_functor import functor, rootdata
 from hecke_functor.finrep import FiniteGroup, RepOrChar, induce, irreducibles
 from hecke_functor.lparam import (
     GroupTag, ToyParameter, component_group, relevant_enhancements,
@@ -12,7 +13,7 @@ from hecke_functor.functor import (
     FunctorError, check_transitivity, compose, conjA_decompose, hom_ad,
     hom_dual_automorphism, hom_gl_to_pgl, hom_identity, hom_sl_to_gl,
     hom_sl_to_pgl, hom_torus_insertion, hom_torus_projection, lmap_param,
-    packet_union_check, smap,
+    packet_union_check, smap, tag_root_datum,
 )
 from hecke_functor.weyl import Eig
 
@@ -350,3 +351,36 @@ def test_dual_automorphism_squares_to_identity():
 def test_compose_rejects_mismatch():
     with pytest.raises(FunctorError):
         compose(hom_sl_to_gl(3), hom_gl_to_pgl(4))
+
+
+# ---------------------------------------------------------------------------
+# memoised root data
+
+
+def test_tag_root_datum_ignores_the_labels():
+    a = tag_root_datum(GroupTag.single("GL", 3, 0))
+    b = tag_root_datum(GroupTag.single("GL", 3, 1))
+    assert a is b
+    assert tag_root_datum(GroupTag((("SL", 2), ("T", 1)), (1, 0))) is \
+        tag_root_datum(GroupTag((("SL", 2), ("T", 1))))
+
+
+def test_warm_transitivity_chain_builds_nothing():
+    n = 3
+    tag_sl, _ = principal_sl(n)
+    tag_gl, phi_gl = principal_gl(n)
+    rhos = relevant_enhancements(tag_gl, phi_gl)
+
+    def chain():
+        f = hom_ad(tag_sl, [[1, 0, 0]])
+        q = compose(hom_sl_to_gl(n), hom_dual_automorphism(tag_gl))
+        assert check_transitivity(f, q, phi_gl, rhos)
+
+    caches = (rootdata._build_classical, functor._tag_root_datum)
+    chain()
+    before = [c.cache_info() for c in caches]
+    chain()
+    after = [c.cache_info() for c in caches]
+    for b, a in zip(before, after):
+        assert a.misses == b.misses and a.currsize == b.currsize
+    assert after[1].hits > before[1].hits

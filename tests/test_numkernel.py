@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecke_functor.numkernel import (
-    Cyclo, LaurentPoly, cyclo_root_of_unity, laurent_eval,
+    CONDUCTOR_GUARD, Cyclo, LaurentPoly, cyclo_root_of_unity, laurent_eval,
 )
 
 
@@ -99,6 +99,12 @@ def test_cyclo_json_round_trip():
     for _ in range(20):
         a = _random_cyclo(rng)
         assert Cyclo.from_json(a.to_json()) == a
+
+
+def test_cyclo_json_conductor_guard():
+    for n in (0, -1, CONDUCTOR_GUARD + 1):
+        with pytest.raises(ValueError):
+            Cyclo.from_json({"n": n, "coeffs": [[1, "1"]]})
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hecke_functor import intlattice as il
+from hecke_functor import rootdata
 from hecke_functor.rootdata import (
     BasedRootDatum, RDMorphism, RootDatumError, based_automorphisms,
     build_classical, direct_sum, dual, factorize_condition1, is_condition1,
@@ -77,6 +78,41 @@ def test_unsupported_builds():
         build_classical("A", 2, "weird")
 
 
+def _classical_keys(max_rank=4):
+    for family, min_rank in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for n in range(min_rank, max_rank + 1):
+            for iso in ("sc", "ad"):
+                yield family, n, iso
+    for n in range(1, max_rank + 1):
+        yield "GL", n, None
+
+
+def test_memoised_build_matches_a_fresh_build():
+    fresh_build = rootdata._build_classical.__wrapped__
+    for family, n, iso in _classical_keys():
+        datum = build_classical(family, n, iso)
+        assert datum == fresh_build(family, n, iso)
+        datum.validate()
+        assert build_classical(family, n, iso) is datum
+
+
+def test_gl_isogeny_is_not_part_of_the_key():
+    gl = build_classical("GL", 3)
+    assert build_classical("GL", 3, "sc") is gl
+    assert build_classical("GL", 3, "ad") is gl
+
+
+def test_invalid_builds_raise_every_time_and_are_not_cached():
+    build_classical("A", 2, "sc")
+    size = rootdata._build_classical.cache_info().currsize
+    for _ in range(2):
+        for args in (("E", 8, "sc"), ("A", 9, "sc"), ("D", 2, "sc"),
+                     ("A", 2, "weird"), ("GL", 0, None), ("B", 3, None)):
+            with pytest.raises(RootDatumError):
+                build_classical(*args)
+    assert rootdata._build_classical.cache_info().currsize == size
+
+
 def test_dual_involution():
     for datum in ALL_FIXTURES:
         assert dual(dual(datum)) == datum
@@ -90,6 +126,39 @@ def test_dual_involution():
 def test_json_round_trip():
     for datum in ALL_FIXTURES:
         assert BasedRootDatum.from_json(datum.to_json()) == datum
+
+
+_A1 = build_classical("A", 1, "sc").to_json()
+
+
+@pytest.mark.parametrize("data", [
+    1, [], {"rank": "1", "roots": [], "coroots": [], "simples": []},
+    {"rank": -1, "roots": [], "coroots": [], "simples": []},
+    dict(_A1, roots=[[2, 0], [-2, 0]]), dict(_A1, coroots=5),
+    dict(_A1, roots=[["2"], [-2]]), dict(_A1, simples=[2]),
+    {"rank": 1, "roots": [], "coroots": []},
+])
+def test_malformed_datum_json_is_refused(data):
+    with pytest.raises(RootDatumError):
+        BasedRootDatum.from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"source": 1},
+    {"source": _A1, "target": _A1},
+    {"source": 1, "target": _A1, "char_map": [[1]]},
+    {"source": _A1, "target": _A1, "char_map": [[1, 0]]},
+    {"source": _A1, "target": _A1, "char_map": [1]},
+    {"source": _A1, "target": _A1, "char_map": [[1], [1]]},
+])
+def test_malformed_morphism_json_is_refused(data):
+    with pytest.raises(RootDatumError):
+        RDMorphism.from_json(data)
+
+
+def test_morphism_json_round_trip():
+    mor = RDMorphism(build_classical("A", 1, "sc"), build_classical("GL", 2), ((1, -1),))
+    assert RDMorphism.from_json(mor.to_json()) == mor
 
 
 # ---------------------------------------------------------------------------

@@ -284,3 +284,13 @@ def test_omega_normalizes_affine_simples():
             oo = (o.translation, group.index_of(o.finite))
             conj = {mul(mul(oo, g), inv(oo)) for g in gens}
             assert conj == gens
+
+
+def test_eig_json_round_trip_and_refusals():
+    e = Eig(Fraction(-3, 2), Fraction(2, 5))
+    assert Eig.from_json(e.to_json()) == e
+    assert Eig.from_json({"q": 1, "angle": "1/3"}) == Eig(Fraction(1), Fraction(1, 3))
+    for data in ([0, 0], {"q": "0"}, {"q": None, "angle": "0"},
+                 {"q": "0", "angle": "1/0"}, {"q": "x", "angle": "0"}):
+        with pytest.raises(ValueError):
+            Eig.from_json(data)
