@@ -216,7 +216,7 @@ def _cmd_weyl(args):
 def _load_spec(source) -> HeckeSpec:
     data = _load_json(source)
     if "labels" in data:
-        return HeckeSpec.from_json(data)
+        return _decode(HeckeSpec.from_json, data)
     return HeckeSpec(_decode(BasedRootDatum.from_json, data))
 
 
@@ -239,7 +239,10 @@ def _cmd_hecke(args):
         a = _load_element(spec, args.a)
         return {"image": conj(a).to_json()}
     if args.action == "twist":
-        psi = [Cyclo.from_json(v) for v in _load_json(args.psi)]
+        psi = _load_json(args.psi)
+        if not isinstance(psi, list):
+            raise ValidationError("psi is a list of coefficients, one per R-group element")
+        psi = [_decode(Cyclo.from_json, v) for v in psi]
         target, tw = alpha_g_twist(spec, psi)
         a = _load_element(spec, args.a)
         return {"image": tw(a).to_json(),
@@ -257,7 +260,7 @@ def _cmd_finrep(args):
     if args.action == "induce":
         normal = frozenset(int(x) for x in args.normal.split(","))
         sub_group, _ = group.subgroup_as_group(normal)
-        rho = RepOrChar.from_json(sub_group, _load_json(args.rho))
+        rho = _decode(lambda data: RepOrChar.from_json(sub_group, data), _load_json(args.rho))
         ind, decomp = induce(group, normal, rho)
         return {"induced": ind.to_json(),
                 "decomposition": [[c.to_json(), m] for c, m in decomp]}
@@ -265,7 +268,7 @@ def _cmd_finrep(args):
 
 
 def _cmd_param(args):
-    tag, phi = parameter_from_json(_load_json(args.param))
+    tag, phi = _decode(parameter_from_json, _load_json(args.param))
     res = component_group(tag, phi)
     if args.action == "component-group":
         return {"order": res.order,
@@ -285,8 +288,8 @@ def _cmd_param(args):
 
 
 def _cmd_pullback(args):
-    f = hom_from_json(_load_json(args.hom))
-    tag, phi = parameter_from_json(_load_json(args.param))
+    f = _decode(hom_from_json, _load_json(args.hom))
+    tag, phi = _decode(parameter_from_json, _load_json(args.param))
     if tag != f.target:
         raise ValidationError("parameter tag does not match the map's codomain")
     rel = relevant_enhancements(tag, phi)

@@ -268,6 +268,9 @@ class RepOrChar:
 
     @staticmethod
     def from_json(group: FiniteGroup, data) -> "RepOrChar":
+        """Decode one value per group element; ValueError on any other shape."""
+        if not (isinstance(data, list) and len(data) == group.order):
+            raise FinRepError(f"a character is a list of {group.order} values")
         return RepOrChar(group, tuple(Cyclo.from_json(v) for v in data))
 
     @staticmethod
@@ -334,7 +337,7 @@ def restrict(rho: RepOrChar, subgroup: Iterable[int],
              sub_as_group: FiniteGroup | None = None) -> RepOrChar:
     members = sorted(subgroup)
     if sub_as_group is None:
-        sub_as_group, members2 = rho.group.subgroup_as_group(members)
+        sub_as_group, _ = rho.group.subgroup_as_group(members)
     return RepOrChar(sub_as_group, tuple(rho.values[g] for g in members))
 
 
@@ -435,7 +438,7 @@ def _dixon_characters(group: FiniteGroup) -> list[RepOrChar]:
                 a[i][j][l] //= len(classes[l])
 
     # split the common eigenspaces of the class matrices over F_p
-    spaces = [_identity_rows(k, p)]
+    spaces = [_identity_rows(k)]
     for i in range(k):
         mat = [[a[i][j][l] % p for l in range(k)] for j in range(k)]
         # acting on row vectors w: (A_i w)_j = sum_l a[i][j][l] w_l
@@ -488,7 +491,7 @@ def _dixon_characters(group: FiniteGroup) -> list[RepOrChar]:
     return chars
 
 
-def _identity_rows(k: int, p: int) -> list[list[int]]:
+def _identity_rows(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 

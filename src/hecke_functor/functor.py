@@ -215,7 +215,6 @@ class _Step:
             out = []
             for i in range(comp_cod.order):
                 (w, lam), = comp_cod.pair_data(i)
-                rev = tuple(n - 1 - x for x in range(n))
                 w_new = tuple(n - 1 - w[n - 1 - j] for j in range(n))
                 lam_new = Eig(-lam.q_exp, -lam.angle)
                 out.append(_find_by_pairs(comp_dom, ((w_new, lam_new),)))
@@ -564,11 +563,36 @@ def hom_to_json(f: GroupHomDesc):
     return {"steps": steps}
 
 
+def _is_step(e) -> bool:
+    """Is e a JSON step {"kind", "dom", "dom_zeta"?} with the fields its kind
+    reads?"""
+    if not (isinstance(e, dict) and isinstance(e.get("kind"), str)
+            and isinstance(e.get("dom"), list) and _is_int_list(e.get("dom_zeta") or [])
+            and all(isinstance(f, list) and len(f) == 2 and isinstance(f[0], str)
+                    and type(f[1]) is int for f in e["dom"])):
+        return False
+    if e["kind"] in ("sl_gl", "gl_pgl", "sl_pgl"):
+        return bool(e["dom"])
+    if e["kind"] == "ad":
+        return isinstance(e.get("g"), list) and all(map(_is_int_list, e["g"]))
+    if e["kind"] == "torus_ins":
+        return type(e.get("torus_rank")) is int
+    return True
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(type(x) is int for x in v)
+
+
 def hom_from_json(data) -> GroupHomDesc:
+    """Decode the form `hom_to_json` writes; FunctorError on any other shape."""
+    if not (isinstance(data, dict) and isinstance(data.get("steps"), list)
+            and all(map(_is_step, data["steps"]))):
+        raise FunctorError('a homomorphism is an object {"steps": [{"kind": ..., '
+                           '"dom": [[kind, n], ...], "dom_zeta": [...]}, ...]}')
     out = None
     for entry in data["steps"]:
-        dom = GroupTag(tuple((k, int(n)) for k, n in entry["dom"]),
-                       tuple(entry.get("dom_zeta") or ()))
+        dom = GroupTag(tuple(map(tuple, entry["dom"])), tuple(entry.get("dom_zeta") or ()))
         kind = entry["kind"]
         if kind == "identity":
             step = hom_identity(dom)
@@ -583,7 +607,7 @@ def hom_from_json(data) -> GroupHomDesc:
         elif kind == "dual":
             step = hom_dual_automorphism(dom)
         elif kind == "torus_ins":
-            step = hom_torus_insertion(dom, int(entry["torus_rank"]))
+            step = hom_torus_insertion(dom, entry["torus_rank"])
         elif kind == "torus_proj":
             step = hom_torus_projection(dom)
         else:

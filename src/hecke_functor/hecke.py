@@ -38,9 +38,7 @@ from . import intlattice as il
 from .intlattice import IntMatrix
 from .numkernel import Cyclo, LaurentPoly
 from .rootdata import BasedRootDatum
-from .weyl import (
-    WeylGroup, _length_indexed, affine_node_roots, affine_simple_reflections,
-)
+from .weyl import WeylGroup, _length_indexed, affine_simple_reflections
 
 __all__ = [
     "HeckeError", "HeckeSpec", "HeckeElement", "mul_im", "theta",
@@ -60,35 +58,32 @@ class HeckeError(ValueError):
 Key = tuple[tuple[int, ...], int, int]
 
 
-class HeckeSpec:
-    """Immutable description of one twisted affine Hecke algebra."""
+class _SpecBase:
+    """What `HeckeSpec` and `GradedSpec` share, built once per spec: the
+    datum with its Weyl group and components, and the R-group of diagram
+    automorphisms with its tables, its action and its 2-cocycle."""
 
-    def __init__(self, datum: BasedRootDatum,
-                 labels: Mapping[int, tuple[int, int]] | int = 1,
-                 label_star: int | None = None,
-                 params: Mapping[int, str] | None = None,
-                 rgroup: list[IntMatrix] | None = None,
-                 cocycle: Mapping[tuple[int, int], Cyclo] | None = None):
-        datum.validate()
+    def __init__(self, datum: BasedRootDatum, rgroup: list[IntMatrix] | None,
+                 cocycle: Mapping[tuple[int, int], Cyclo] | None):
         self.datum = datum
-        self.weyl = WeylGroup.build(datum)
+        self.weyl = WeylGroup.build(datum)      # validates the datum
         self.components = datum.components()
+        # simple-root index -> position of its component
+        self.component_of = {i: c for c, comp in enumerate(self.components) for i in comp}
 
-        if isinstance(labels, int):
-            lam = labels
-            lam_star = label_star if label_star is not None else labels
-            labels = {i: (lam, lam_star) for i in range(len(datum.roots))}
-        self.labels = {i: (int(a), int(b)) for i, (a, b) in labels.items()}
-
+        ident = il.identity(datum.rank)
         if rgroup is None:
-            rgroup = [il.identity(datum.rank)]
+            rgroup = [ident]
         self.rgroup = [tuple(map(tuple, g)) for g in rgroup]
-        if len(self.rgroup) > RGROUP_SIZE_GUARD:
+        n = len(self.rgroup)
+        if n > RGROUP_SIZE_GUARD:
             raise HeckeError("R-group larger than supported")
         self.r_index = {g: i for i, g in enumerate(self.rgroup)}
-        if il.identity(datum.rank) not in self.r_index:
+        if len(self.r_index) != n:
+            raise HeckeError("R-group elements must be distinct")
+        if ident not in self.r_index:
             raise HeckeError("R-group must contain the identity")
-        self.r_identity = self.r_index[il.identity(datum.rank)]
+        self.r_identity = self.r_index[ident]
         # multiplication and inversion tables of the R-group (|R| <= 8)
         self._r_mul = [[self.r_index.get(tuple(map(tuple, il.mat_mul(g, h))))
                         for h in self.rgroup] for g in self.rgroup]
@@ -98,22 +93,74 @@ class HeckeSpec:
             raise HeckeError("R-group elements must be invertible")
         self._r_inv = [row.index(self.r_identity) for row in self._r_mul]
 
-        if params is None:
-            params = self._default_params()
-        self.params = dict(params)
-        self.zvars = tuple(sorted(set(self.params.values())))
+        # root_perm[g][i] = index of g(root i), comp_perm[g][c] = the component
+        # g sends c to, _simple_perm[g][j] = the position of g(simple j)
+        self.root_perm = [[datum.root_index(il.mat_vec(g, root)) for root in datum.roots]
+                          for g in self.rgroup]
+        self._simple_perm = []
+        for g, perm in zip(self.rgroup, self.root_perm):
+            if None in perm:
+                raise HeckeError("R-group does not preserve the roots")
+            if any(perm[i] not in datum.simples for i in datum.simples):
+                raise HeckeError("R-group must preserve the simple roots")
+            # g s_a g^-1 = s_g(a) needs the coroot of g(a) to be a^ o g^-1
+            g_t = il.transpose(g)
+            if any(il.mat_vec(g_t, datum.coroots[k]) != coroot
+                   for k, coroot in zip(perm, datum.coroots)):
+                raise HeckeError("R-group does not preserve the coroots")
+            self._simple_perm.append([datum.simples.index(perm[i]) for i in datum.simples])
+        self.comp_perm = [[self.component_of[perm[comp[0]]] for comp in self.components]
+                          for perm in self.root_perm]
 
         if cocycle is None:
-            one = Cyclo.rational(1)
-            cocycle = {(i, j): one for i in range(len(self.rgroup))
-                       for j in range(len(self.rgroup))}
+            cocycle = dict.fromkeys(itertools.product(range(n), repeat=2), 1)
         self.cocycle = {k: (v if isinstance(v, Cyclo) else Cyclo.rational(v))
                         for k, v in cocycle.items()}
-
-        self._validate()
-        # kappa(i, j) as mul_im applies it: None where it is 1
+        if set(self.cocycle) != set(itertools.product(range(n), repeat=2)):
+            raise HeckeError("cocycle table needs one value per pair of R-group elements")
+        for v in self.cocycle.values():
+            v.as_root_of_unity()
+        kappa, mul = self.cocycle, self._r_mul
+        if any(kappa[(i, j)] * kappa[(mul[i][j], k)] != kappa[(j, k)] * kappa[(i, mul[j][k])]
+               for i, j, k in itertools.product(range(n), repeat=3)):
+            raise HeckeError("cocycle identity fails")
+        # normalized so that N_e is the unit
+        if self.cocycle[(self.r_identity, self.r_identity)] != Cyclo.rational(1):
+            raise HeckeError("cocycle must be normalized: kappa(e, e) = 1")
+        # kappa(i, j) as the products apply it: None where it is 1
         self._kappa = [[None if self.cocycle[(i, j)] == 1 else self.cocycle[(i, j)]
-                        for j in range(len(self.rgroup))] for i in range(len(self.rgroup))]
+                        for j in range(n)] for i in range(n)]
+
+    def r_mul(self, i: int, j: int) -> int:
+        return self._r_mul[i][j]
+
+    def r_inv(self, i: int) -> int:
+        return self._r_inv[i]
+
+    def conj_w(self, gi: int, wi: int) -> int:
+        """The index of gamma w gamma^-1 for gamma = rgroup[gi]: gamma sends
+        each simple reflection s_a of a reduced word to s_gamma(a)."""
+        perm = self._simple_perm[gi]
+        return self.weyl.index_of_word([perm[s] for s in self.weyl.words[wi]])
+
+
+class HeckeSpec(_SpecBase):
+    """Immutable description of one twisted affine Hecke algebra."""
+
+    def __init__(self, datum: BasedRootDatum,
+                 labels: Mapping[int, tuple[int, int]] | int = 1,
+                 label_star: int | None = None,
+                 params: Mapping[int, str] | None = None,
+                 rgroup: list[IntMatrix] | None = None,
+                 cocycle: Mapping[tuple[int, int], Cyclo] | None = None):
+        super().__init__(datum, rgroup, cocycle)
+        if isinstance(labels, int):
+            lam_star = label_star if label_star is not None else labels
+            labels = {i: (labels, lam_star) for i in range(len(datum.roots))}
+        self.labels = {i: (int(a), int(b)) for i, (a, b) in labels.items()}
+        self.params = dict(params) if params is not None else self._default_params()
+        self.zvars = tuple(sorted(set(self.params.values())))
+        self._validate()
         self._prepare_generators()
         self._mul_memo: dict[tuple[Key, Key], dict[Key, LaurentPoly]] = {}
         self._theta_memo: dict[tuple[int, ...], "HeckeElement"] = {}
@@ -130,16 +177,11 @@ class HeckeSpec:
             raise HeckeError("labels must cover every root")
         # constancy on W-orbits and R-orbits
         for i in range(n_roots):
-            for j in range(len(datum.simples)):
-                k = datum.root_index(datum.reflect(datum.simples[j], datum.roots[i]))
-                if self.labels[k] != self.labels[i]:
-                    raise HeckeError("labels not constant on Weyl orbits")
-            for g in self.rgroup:
-                k = datum.root_index(il.mat_vec(g, datum.roots[i]))
-                if k is None:
-                    raise HeckeError("R-group does not preserve the roots")
-                if self.labels[k] != self.labels[i]:
-                    raise HeckeError("labels not constant on R-group orbits")
+            if any(self.labels[datum.root_index(datum.reflect(j, datum.roots[i]))]
+                   != self.labels[i] for j in datum.simples):
+                raise HeckeError("labels not constant on Weyl orbits")
+            if any(self.labels[perm[i]] != self.labels[i] for perm in self.root_perm):
+                raise HeckeError("labels not constant on R-group orbits")
         for i, (lam, lam_star) in self.labels.items():
             if lam < 0 or lam_star < 0:
                 raise HeckeError("labels must be nonnegative")
@@ -148,115 +190,45 @@ class HeckeSpec:
                     "label* may differ from label only when the coroot is divisible by 2")
         if set(self.params) != set(range(len(self.components))):
             raise HeckeError("params must name every component")
-        # R-group (a group, checked in __init__): preserves simples, permutes
-        # components compatibly
-        simples = {datum.roots[i] for i in datum.simples}
-        for g in self.rgroup:
-            if {tuple(il.mat_vec(g, s)) for s in simples} != simples:
-                raise HeckeError("R-group must preserve the simple roots")
-        for c, comp in enumerate(self.components):
-            for g in self.rgroup:
-                image = {datum.root_index(il.mat_vec(g, datum.roots[i])) for i in comp}
-                target = next(cc for cc, comp2 in enumerate(self.components)
-                              if set(comp2) == image)
-                if self.params[target] != self.params[c]:
-                    raise HeckeError("parameter names must be constant on R-orbits of components")
-        # cocycle identity and root-of-unity values
-        n = len(self.rgroup)
-        for i in range(n):
-            for j in range(n):
-                v = self.cocycle.get((i, j))
-                if v is None:
-                    raise HeckeError("cocycle table incomplete")
-                v.as_root_of_unity()
-        for i, j, k in itertools.product(range(n), repeat=3):
-            ij = self.r_mul(i, j)
-            jk = self.r_mul(j, k)
-            lhs = self.cocycle[(i, j)] * self.cocycle[(ij, k)]
-            rhs = self.cocycle[(j, k)] * self.cocycle[(i, jk)]
-            if lhs != rhs:
-                raise HeckeError("cocycle identity fails")
-        # normalized so that N_e is the unit
-        if self.cocycle[(self.r_identity, self.r_identity)] != Cyclo.rational(1):
-            raise HeckeError("cocycle must be normalized: kappa(e, e) = 1")
+        if any(self.params[perm[c]] != self.params[c]
+               for perm in self.comp_perm for c in range(len(self.components))):
+            raise HeckeError("parameter names must be constant on R-orbits of components")
 
     def _default_params(self) -> dict[int, str]:
         """One parameter name per R-orbit of components."""
-        datum = self.datum
-        comp_sets = [set(c) for c in self.components]
-        orbit_of = {}
-        orbits = []
-        for c in range(len(self.components)):
-            if c in orbit_of:
-                continue
-            orbit = {c}
-            frontier = [c]
-            while frontier:
-                cc = frontier.pop()
-                for g in self.rgroup:
-                    image = {datum.root_index(il.mat_vec(g, datum.roots[i]))
-                             for i in self.components[cc]}
-                    tgt = next(k for k, s in enumerate(comp_sets) if s == image)
-                    if tgt not in orbit:
-                        orbit.add(tgt)
-                        frontier.append(tgt)
-            for cc in orbit:
-                orbit_of[cc] = len(orbits)
-            orbits.append(orbit)
-        if len(orbits) == 1:
-            return {c: "z" for c in range(len(self.components))}
-        return {c: f"z{orbit_of[c]+1}" for c in range(len(self.components))}
-
-    def r_mul(self, i: int, j: int) -> int:
-        return self._r_mul[i][j]
-
-    def r_inv(self, i: int) -> int:
-        return self._r_inv[i]
+        # the orbits, numbered by their least component
+        least = [min(perm[c] for perm in self.comp_perm) for c in range(len(self.components))]
+        number = {c: k + 1 for k, c in enumerate(sorted(set(least)))}
+        if len(number) == 1:
+            return {c: "z" for c in range(len(least))}
+        return {c: f"z{number[m]}" for c, m in enumerate(least)}
 
     # -- generators ------------------------------------------------------------
 
     def _prepare_generators(self):
         datum = self.datum
-        group = self.weyl
-        self.simple_gens: list[tuple[tuple[int, ...], int]] = []
-        gen_roots: list[int] = []
-        for j in range(len(datum.simples)):
-            self.simple_gens.append(((0,) * datum.rank, group.right_mult[0][j]))
-            gen_roots.append(datum.simples[j])
-        node_roots = affine_node_roots(datum)
-        self.affine_gens: list[tuple[tuple[int, ...], int]] = []
-        for c in range(len(self.components)):
-            theta_i = node_roots[c]
-            refl = affine_simple_reflections(datum)[len(datum.simples) + c]
-            self.affine_gens.append((refl.translation, group.index_of(refl.finite)))
-            gen_roots.append(theta_i)
+        zero = (0,) * datum.rank
+        self.simple_gens: list[tuple[tuple[int, ...], int]] = [
+            (zero, self.weyl.right_mult[0][j]) for j in range(len(datum.simples))]
+        nodes = affine_simple_reflections(datum)[len(datum.simples):]
+        self.affine_gens: list[tuple[tuple[int, ...], int]] = [
+            (node.translation, self.weyl.index_of(node.finite)) for node in nodes]
         self.all_gens = self.simple_gens + self.affine_gens
-        # z(s) exponent per generator
+        # (root, component, is an affine node) per generator
+        gen_roots = [(i, self.component_of[i], False) for i in datum.simples]
+        gen_roots += [(datum.root_index(node.translation), c, True)
+                      for c, node in enumerate(nodes)]
+        # z(s) per generator: z^label*(theta) at an affine node whose coroot
+        # lies in 2 X^, z^label otherwise
         self.gen_zpoly: list[LaurentPoly] = []
         self.gen_deform: list[LaurentPoly] = []
-        for pos, (key, root_idx) in enumerate(zip(self.all_gens, gen_roots)):
-            comp = self._component_of_root(root_idx)
-            var = self.params[comp]
+        for root_idx, comp, affine in gen_roots:
             lam, lam_star = self.labels[root_idx]
-            if pos >= len(self.simple_gens):
-                coroot = self.datum.coroots[root_idx]
-                if all(c % 2 == 0 for c in coroot):
-                    exp = lam_star
-                else:
-                    exp = lam
-            else:
-                exp = lam
-            z = LaurentPoly.monomial(self.zvars, var, exp)
+            even = all(c % 2 == 0 for c in datum.coroots[root_idx])
+            z = LaurentPoly.monomial(self.zvars, self.params[comp],
+                                     lam_star if affine and even else lam)
             self.gen_zpoly.append(z)
             self.gen_deform.append(z - z.monomial_inverse())
-
-    def _component_of_root(self, root_idx: int) -> int:
-        coeffs = self.datum.simple_root_coeffs(self.datum.roots[root_idx])
-        support = {self.datum.simples[j] for j, c in enumerate(coeffs) if c}
-        for c, comp in enumerate(self.components):
-            if support <= set(comp):
-                return c
-        raise HeckeError("root outside every component")
 
     # -- keys --------------------------------------------------------------------
 
@@ -285,11 +257,8 @@ class HeckeSpec:
         """gamma (t_x w) gamma^-1 for the R-group element gamma."""
         if gi == self.r_identity:
             return a
-        g = self.rgroup[gi]
-        ginv = self.rgroup[self._r_inv[gi]]
         x, wi = a
-        m = il.mat_mul(il.mat_mul(g, self.weyl.matrices[wi]), ginv)
-        return (tuple(il.mat_vec(g, x)), self.weyl.index_of(m))
+        return (il.mat_vec(self.rgroup[gi], x), self.conj_w(gi, wi))
 
     def left_descent(self, a: tuple[tuple[int, ...], int]
                      ) -> tuple[int, tuple[tuple[int, ...], int]]:
@@ -352,13 +321,36 @@ class HeckeSpec:
 
     @staticmethod
     def from_json(data) -> "HeckeSpec":
-        return HeckeSpec(
-            BasedRootDatum.from_json(data["datum"]),
-            labels={int(i): (int(v[0]), int(v[1])) for i, v in data["labels"]},
-            params={int(c): v for c, v in data["params"]},
-            rgroup=[tuple(tuple(r) for r in g) for g in data["rgroup"]],
-            cocycle={(int(k[0]), int(k[1])): Cyclo.from_json(v)
-                     for k, v in data["cocycle"]})
+        """Decode the form `to_json` writes; HeckeError on any other shape."""
+        fields = ("labels", "params", "rgroup", "cocycle")
+        if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in fields)):
+            raise HeckeError(f"a spec is an object with a datum and the lists {', '.join(fields)}")
+        datum = BasedRootDatum.from_json(data.get("datum"))
+        r = datum.rank
+        if not all(_is_pair(e) and type(e[0]) is int and _is_ints(e[1], 2)
+                   for e in data["labels"]):
+            raise HeckeError("labels must be [root index, [label, label*]] pairs")
+        if not all(_is_pair(e) and type(e[0]) is int and isinstance(e[1], str)
+                   for e in data["params"]):
+            raise HeckeError("params must be [component, name] pairs")
+        if not all(isinstance(g, list) and len(g) == r and all(_is_ints(row, r) for row in g)
+                   for g in data["rgroup"]):
+            raise HeckeError(f"rgroup must be a list of {r}x{r} integer matrices")
+        if not all(_is_pair(e) and _is_ints(e[0], 2) for e in data["cocycle"]):
+            raise HeckeError("cocycle must be [[i, j], value] pairs")
+        return HeckeSpec(datum, labels={i: tuple(v) for i, v in data["labels"]},
+                         params=dict(data["params"]),
+                         rgroup=[tuple(map(tuple, g)) for g in data["rgroup"]],
+                         cocycle={tuple(k): Cyclo.from_json(v) for k, v in data["cocycle"]})
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2
+
+
+def _is_ints(v, n: int) -> bool:
+    """Is v a JSON list of n integers?"""
+    return isinstance(v, list) and len(v) == n and all(type(x) is int for x in v)
 
 
 _SCALARS = (int, Fraction, Cyclo, LaurentPoly)
@@ -462,13 +454,11 @@ class HeckeElement(Combination):
             raise HeckeError("an element is a list of [key, polynomial] terms")
         terms = {}
         for term in data:
-            if not (isinstance(term, list) and len(term) == 2
-                    and isinstance(term[0], dict)):
+            if not (_is_pair(term) and isinstance(term[0], dict)):
                 raise HeckeError("each term must be a [key, polynomial] pair")
             key_data, poly_data = term
             t = key_data.get("t")
-            if not (isinstance(t, list) and len(t) == spec.datum.rank
-                    and all(type(v) is int for v in t)):
+            if not _is_ints(t, spec.datum.rank):
                 raise HeckeError(f"t must be a list of {spec.datum.rank} integers")
             r = key_data.get("r", spec.r_identity)
             if type(r) is not int or not 0 <= r < len(spec.rgroup):
@@ -637,8 +627,7 @@ def _g_alpha_series(spec: HeckeSpec, simple_pos: int, m: int
     if m == 0:
         return out
     lam, lam_star = spec.labels[root_idx]
-    comp = spec._component_of_root(root_idx)
-    var = spec.params[comp]
+    var = spec.params[spec.component_of[root_idx]]
     za = LaurentPoly.monomial(spec.zvars, var, lam)
     zb = LaurentPoly.monomial(spec.zvars, var, lam_star)
     a = za - za.monomial_inverse()
@@ -868,7 +857,7 @@ def alpha_g_twist(spec: HeckeSpec, psi: list[Cyclo]):
 # graded version
 
 
-class GradedSpec:
+class GradedSpec(_SpecBase):
     """Degenerate (graded) version: polynomial coordinates on t* crossed with
     the finite twisted group algebra, deformed by the r-parameters.
 
@@ -880,27 +869,11 @@ class GradedSpec:
     def __init__(self, datum: BasedRootDatum,
                  rgroup: list[IntMatrix] | None = None,
                  cocycle: Mapping[tuple[int, int], Cyclo] | None = None):
-        datum.validate()
-        self.datum = datum
-        self.weyl = WeylGroup.build(datum)
-        self.components = datum.components()
+        super().__init__(datum, rgroup, cocycle)
         self.coord_vars = tuple(f"x{i}" for i in range(datum.rank))
         self.r_vars = tuple("r" if len(self.components) == 1 else f"r{c+1}"
                             for c in range(len(self.components)))
         self.vars = self.coord_vars + tuple(sorted(set(self.r_vars)))
-        if rgroup is None:
-            rgroup = [il.identity(datum.rank)]
-        self.rgroup = [tuple(map(tuple, g)) for g in rgroup]
-        self.r_index = {g: i for i, g in enumerate(self.rgroup)}
-        self.r_identity = self.r_index[il.identity(datum.rank)]
-        if cocycle is None:
-            one = Cyclo.rational(1)
-            cocycle = {(i, j): one for i in range(len(self.rgroup))
-                       for j in range(len(self.rgroup))}
-        self.cocycle = dict(cocycle)
-
-    def r_mul(self, i, j):
-        return self.r_index[tuple(map(tuple, il.mat_mul(self.rgroup[i], self.rgroup[j])))]
 
     def poly_constant(self, c) -> LaurentPoly:
         return LaurentPoly.constant(self.vars, c)
@@ -1007,9 +980,8 @@ def _move_poly_left(spec: GradedSpec, wi: int, q: LaurentPoly
     root_idx = spec.datum.simples[s]
     s_mat_idx = spec.weyl.right_mult[0][s]
     sq = spec.act_poly(spec.weyl.matrices[s_mat_idx], q)
-    comp = next(c for c, comp in enumerate(spec.components) if root_idx in comp)
     corr = spec.divide_by_linear(q - sq, spec.datum.roots[root_idx])
-    corr = corr * spec.deformation(comp)
+    corr = corr * spec.deformation(spec.component_of[root_idx])
     out: dict[int, LaurentPoly] = {}
     for u, c in _move_poly_left(spec, w1, sq).items():
         _add_into(out, spec.weyl.right_mult[u][s], c)
@@ -1023,17 +995,14 @@ def graded_mul(spec: GradedSpec, a: GradedElement, b: GradedElement) -> GradedEl
     out: dict[tuple[int, int], LaurentPoly] = {}
     for (wi, gi), p in a.terms.items():
         for (vi, hi), q in b.terms.items():
-            gq = spec.act_poly(spec.rgroup[gi], q)
-            moved = _move_poly_left(spec, wi, gq)
+            moved = _move_poly_left(spec, wi, spec.act_poly(spec.rgroup[gi], q))
             # tails: T_u T_gamma T_v T_delta = T_{u gamma(v)} kappa T_{gamma delta}
-            g = spec.rgroup[gi]
-            ginv = il.inverse_unimodular(g)
-            v_m = il.mat_mul(il.mat_mul(g, spec.weyl.matrices[vi]), ginv)
-            v_conj = spec.weyl.index_of(v_m)
-            kappa = spec.cocycle[(gi, hi)]
-            tail_r = spec.r_mul(gi, hi)
+            v_conj = spec.conj_w(gi, vi)
+            tail_r = spec._r_mul[gi][hi]
+            kappa = spec._kappa[gi][hi]
+            coeff = p if kappa is None else p.scale(kappa)
             for u, c in moved.items():
-                _add_into(out, (spec.weyl.mul(u, v_conj), tail_r), p * c * kappa)
+                _add_into(out, (spec.weyl.mul(u, v_conj), tail_r), coeff * c)
     return GradedElement(spec, out)
 
 
@@ -1079,35 +1048,18 @@ def intermediate_algebra(spec: HeckeSpec, gamma_big: list[IntMatrix],
     for g in spec.rgroup:
         if g not in big_mats:
             raise HeckeError("gamma_big must contain the old R-group")
-    datum = spec.datum
-    comp_sets = [set(c) for c in spec.components]
-    for g in big_mats:
-        for c, comp in enumerate(spec.components):
-            image = {datum.root_index(il.mat_vec(g, datum.roots[i])) for i in comp}
-            tgt = next((k for k, s in enumerate(comp_sets) if s == image), None)
-            if tgt is None:
-                raise HeckeError("gamma_big does not permute the components")
-            if spec.params[tgt] != spec.params[c]:
-                raise HeckeError(
-                    "parameters of the base spec must be constant on gamma_big orbits")
     big = HeckeSpec(spec.datum, labels=spec.labels, params=spec.params,
                     rgroup=big_mats, cocycle=kappa_big)
     # cocycle compatibility on the embedded copy
-    for g in spec.rgroup:
-        for h in spec.rgroup:
-            i, j = spec.r_index[g], spec.r_index[h]
-            bi, bj = big.r_index[g], big.r_index[h]
-            if spec.cocycle[(i, j)] != big.cocycle[(bi, bj)]:
-                raise HeckeError("kappa_big does not restrict to the old cocycle")
+    embed = [big.r_index[g] for g in spec.rgroup]
+    if any(v != big.cocycle[(embed[i], embed[j])] for (i, j), v in spec.cocycle.items()):
+        raise HeckeError("kappa_big does not restrict to the old cocycle")
     # left coset representatives of Gamma in Gamma_big
-    small_set = {big.r_index[g] for g in spec.rgroup}
     reps, covered = [], set()
     for gi in range(len(big.rgroup)):
-        if gi in covered:
-            continue
-        reps.append(gi)
-        for si in small_set:
-            covered.add(big.r_mul(gi, si))
+        if gi not in covered:
+            reps.append(gi)
+            covered.update(big.r_mul(gi, si) for si in embed)
     return IntermediateAlgebra(spec, big, reps)
 
 

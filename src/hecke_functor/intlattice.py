@@ -12,8 +12,8 @@ from fractions import Fraction
 IntMatrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
-    "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_add",
-    "mat_scale", "det", "snf", "solve_int", "kernel_basis",
+    "identity", "zeros", "transpose", "mat_mul", "mat_vec", "det", "snf",
+    "solve_int", "kernel_basis",
     "column_space_basis", "saturation_basis", "inverse_unimodular",
 ]
 
@@ -43,14 +43,6 @@ def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
     if a and len(a[0]) != len(v):
         raise ValueError("shape mismatch")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scale(k: int, a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(k * x for x in row) for row in a)
 
 
 def det(a: IntMatrix) -> int:
@@ -181,11 +173,6 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
     return (tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v)))
-
-
-def rank(a: IntMatrix) -> int:
-    _, d, _ = snf(a)
-    return sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
 
 
 def solve_int(a: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:

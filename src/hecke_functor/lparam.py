@@ -92,9 +92,8 @@ class ToyParameter:
         out = []
         for (kind, n), eigs in zip(tag.factors, lists):
             eigs = tuple(eigs)
-            expected = n if kind != "T" else n
-            if len(eigs) != expected:
-                raise LParamError(f"factor of size {n} needs {expected} eigenvalues")
+            if len(eigs) != n:
+                raise LParamError(f"factor of size {n} needs {n} eigenvalues")
             if kind == "SL":
                 eigs = _normalize_projective(eigs)
             if kind == "PGL":
@@ -432,10 +431,18 @@ def parameter_to_json(tag: GroupTag, phi: ToyParameter):
 
 
 def parameter_from_json(data) -> tuple[GroupTag, ToyParameter]:
-    kinds = []
-    lists = []
-    for fac in data["factors"]:
-        kinds.append((_KIND_FROM_JSON[fac["tag"]], int(fac["n"])))
-        lists.append([Eig.from_json(e) for e in fac["eigs"]])
-    tag = GroupTag(tuple(kinds), tuple(data.get("zeta") or [0] * len(kinds)))
+    """Decode the form `parameter_to_json` writes; LParamError on any other
+    shape."""
+    if not (isinstance(data, dict) and isinstance(data.get("factors"), list)
+            and all(isinstance(fac, dict) and fac.get("tag") in _KIND_FROM_JSON
+                    and type(fac.get("n")) is int and isinstance(fac.get("eigs"), list)
+                    for fac in data["factors"])):
+        raise LParamError('a parameter is an object {"factors": [{"tag": "GLn" | "SLn" | '
+                          '"PGLn" | "Torus", "n": size, "eigs": [...]}, ...], "zeta": [...]}')
+    zeta = data.get("zeta") or [0] * len(data["factors"])
+    if not (isinstance(zeta, list) and all(type(z) is int for z in zeta)):
+        raise LParamError("zeta must be a list of integers")
+    kinds = [(_KIND_FROM_JSON[fac["tag"]], fac["n"]) for fac in data["factors"]]
+    lists = [[Eig.from_json(e) for e in fac["eigs"]] for fac in data["factors"]]
+    tag = GroupTag(tuple(kinds), tuple(zeta))
     return tag, ToyParameter.make(tag, lists)

@@ -378,9 +378,6 @@ class Cyclo:
         # a is now the gcd (a nonzero constant, since Phi_n is irreducible)
         if len([c for c in a if c]) == 0:
             raise ZeroDivisionError("inverse of zero")
-        lead = next(c for c in reversed(a) if c)
-        if any(c for c in a[:-1] if c) and a.index(lead) != 0:
-            pass
         const = a[0]
         inv = {i: c / const for i, c in enumerate(u_a) if c}
         return Cyclo._make(self.n, inv)
@@ -442,10 +439,20 @@ class Cyclo:
 
     @staticmethod
     def from_json(data) -> "Cyclo":
-        n = int(data["n"])
+        """Decode the form `to_json` writes; ValueError on any other shape."""
+        if not (isinstance(data, dict) and type(data.get("n")) is int
+                and isinstance(data.get("coeffs"), list)
+                and all(isinstance(kv, list) and len(kv) == 2 and type(kv[0]) is int
+                        and type(kv[1]) in (int, str) for kv in data["coeffs"])):
+            raise ValueError('a coefficient is an object {"n": conductor, '
+                             '"coeffs": [[power, "p/q"], ...]}')
+        n = data["n"]
         if not 1 <= n <= CONDUCTOR_GUARD:
             raise ValueError(f"conductor {n} outside 1..{CONDUCTOR_GUARD}")
-        return Cyclo._make(n, {int(k): Fraction(v) for k, v in data["coeffs"]})
+        try:
+            return Cyclo._make(n, {k: Fraction(v) for k, v in data["coeffs"]})
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the coefficient {data!r}") from None
 
 
 _CYCLO_ZERO = Cyclo(0)
@@ -575,21 +582,6 @@ def _has_cyclo(terms: dict) -> bool:
     return Cyclo in map(type, terms.values())
 
 
-def _coeff_from_json(data):
-    """Decode a coefficient written by `Cyclo.to_json`; ValueError on any
-    other shape."""
-    if not (isinstance(data, dict) and type(data.get("n")) is int and data["n"] >= 1
-            and isinstance(data.get("coeffs"), list)
-            and all(isinstance(kv, list) and len(kv) == 2 and type(kv[0]) is int
-                    and type(kv[1]) in (int, str) for kv in data["coeffs"])):
-        raise ValueError('a coefficient is an object {"n": conductor, '
-                         '"coeffs": [[power, "p/q"], ...]}')
-    try:
-        return Cyclo.from_json(data)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in the coefficient {data!r}")
-
-
 class LaurentPoly:
     """Laurent polynomial in a fixed ordered tuple of variable names.
 
@@ -652,9 +644,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * len(self.vars) in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -811,7 +800,7 @@ class LaurentPoly:
                     and all(type(k) is int for k in term[0])):
                 raise ValueError(f"each polynomial term is a pair [exponents, coefficient] "
                                  f"with {len(vs)} integer exponents")
-            terms[tuple(term[0])] = _coeff_from_json(term[1])
+            terms[tuple(term[0])] = Cyclo.from_json(term[1])
         return LaurentPoly(vs, terms)
 
 

@@ -210,9 +210,6 @@ def _is_int_rows(rows, width: int) -> bool:
 # construction
 
 
-_CARTAN_BUILDERS = {}
-
-
 def _cartan_matrix(family: str, n: int) -> list[list[int]]:
     """M[i][j] = <alpha_i, alpha_j^> for the classical families."""
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]

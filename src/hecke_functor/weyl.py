@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import intlattice as il
 from .intlattice import IntMatrix
@@ -82,50 +83,38 @@ class WeylGroup:
     6
     """
 
-    _cache: dict[BasedRootDatum, "WeylGroup"] = {}
-
     def __init__(self, datum: BasedRootDatum):
         self.datum = datum
         r = datum.rank
         self.simple_positions = list(range(len(datum.simples)))
-        gens = [_reflection_matrix(datum, i) for i in datum.simples]
+        simples = [(datum.roots[i], datum.coroots[i]) for i in datum.simples]
         ident = il.identity(r)
         self.matrices: list[IntMatrix] = [ident]
         self.words: list[tuple[int, ...]] = [()]
         self.index: dict[IntMatrix, int] = {ident: 0}
-        # right_mult[i][j] = index of element_i * s_j
+        # right_mult[i][j] = index of element_i * s_j; the elements are walked
+        # in the order they are found, so indices and words are breadth-first
         self.right_mult: list[list[int]] = []
-        frontier = [0]
-        while frontier:
-            new_frontier = []
-            for i in frontier:
-                m = self.matrices[i]
-                for j, g in enumerate(gens):
-                    # (w s_j) x = w x - <x, a_j^> w(a_j): rank-one update of m
-                    alpha = datum.roots[datum.simples[j]]
-                    alpha_v = datum.coroots[datum.simples[j]]
-                    w_alpha = il.mat_vec(m, alpha)
-                    prod = tuple(tuple(m[a][b] - w_alpha[a] * alpha_v[b]
-                                       for b in range(r)) for a in range(r))
-                    if prod not in self.index:
-                        self.index[prod] = len(self.matrices)
-                        self.matrices.append(prod)
-                        self.words.append(self.words[i] + (j,))
-                        new_frontier.append(self.index[prod])
-                        if len(self.matrices) > WEYL_SIZE_GUARD:
-                            raise RootDatumError("Weyl group larger than the desk guard")
-            frontier = new_frontier
-        self.order = len(self.matrices)
-        for i, m in enumerate(self.matrices):
+        i = 0
+        while i < len(self.matrices):
+            m = self.matrices[i]
             row = []
-            for j, g in enumerate(gens):
-                alpha = datum.roots[datum.simples[j]]
-                alpha_v = datum.coroots[datum.simples[j]]
+            for j, (alpha, alpha_v) in enumerate(simples):
+                # (w s_j) x = w x - <x, a_j^> w(a_j): rank-one update of m
                 w_alpha = il.mat_vec(m, alpha)
                 prod = tuple(tuple(m[a][b] - w_alpha[a] * alpha_v[b]
                                    for b in range(r)) for a in range(r))
-                row.append(self.index[prod])
+                k = self.index.get(prod)
+                if k is None:
+                    k = self.index[prod] = len(self.matrices)
+                    self.matrices.append(prod)
+                    self.words.append(self.words[i] + (j,))
+                    if len(self.matrices) > WEYL_SIZE_GUARD:
+                        raise RootDatumError("Weyl group larger than the desk guard")
+                row.append(k)
             self.right_mult.append(row)
+            i += 1
+        self.order = len(self.matrices)
         self.positive_indices = datum.positive_root_indices()
         self._pos_set = set(self.positive_indices)
         self._inv: list[int] | None = None
@@ -135,9 +124,8 @@ class WeylGroup:
 
     @classmethod
     def build(cls, datum: BasedRootDatum) -> "WeylGroup":
-        if datum not in cls._cache:
-            cls._cache[datum] = cls(datum)
-        return cls._cache[datum]
+        """The group of a datum, validated and enumerated once, then cached."""
+        return _build_group(datum)
 
     # -- element access -------------------------------------------------------
 
@@ -182,6 +170,15 @@ class WeylGroup:
 
     def act(self, i: int, x: tuple[int, ...]) -> tuple[int, ...]:
         return il.mat_vec(self.matrices[i], x)
+
+
+@lru_cache(maxsize=256)
+def _build_group(datum: BasedRootDatum) -> WeylGroup:
+    # bounded, since data read from JSON are unbounded; an invalid datum is
+    # refused before enumeration, whose reflections may generate an infinite
+    # group with exponentially growing entries
+    datum.validate()
+    return WeylGroup(datum)
 
 
 def enumerate_weyl(datum: BasedRootDatum) -> list[WeylElt]:
@@ -240,34 +237,15 @@ def affine_simple_reflections(datum: BasedRootDatum) -> list[ExtAffineElt]:
         for i, theta in enumerate(datum.roots):
             coeffs = datum.simple_root_coeffs(theta)
             support = {datum.simples[j] for j, c in enumerate(coeffs) if c}
-            if not support or not support <= comp_set:
+            if not (support and support <= comp_set and datum.is_dominant(theta)):
                 continue
-            if not datum.is_dominant(theta):
-                continue
-            refl = group.element(group.index[_reflection_matrix(datum, i)])
-            cand = ExtAffineElt(theta, refl)
-            if _length_indexed(group, theta, group.index_of(refl)) == 1:
-                nodes.append((i, cand))
+            refl_idx = group.index[_reflection_matrix(datum, i)]
+            if _length_indexed(group, theta, refl_idx) == 1:
+                nodes.append(ExtAffineElt(theta, group.element(refl_idx)))
         if len(nodes) != 1:
             raise RootDatumError(
                 f"expected one affine node for component {comp}, found {len(nodes)}")
-        out.append(nodes[0][1])
-    return out
-
-
-def affine_node_roots(datum: BasedRootDatum) -> dict[int, int]:
-    """Map component position -> root index of its affine node's root."""
-    group = WeylGroup.build(datum)
-    out = {}
-    for c, comp in enumerate(datum.components()):
-        comp_set = set(comp)
-        for i, theta in enumerate(datum.roots):
-            coeffs = datum.simple_root_coeffs(theta)
-            support = {datum.simples[j] for j, cf in enumerate(coeffs) if cf}
-            if support and support <= comp_set and datum.is_dominant(theta):
-                refl_idx = group.index[_reflection_matrix(datum, i)]
-                if _length_indexed(group, theta, refl_idx) == 1:
-                    out[c] = i
+        out.extend(nodes)
     return out
 
 

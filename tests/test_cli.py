@@ -181,6 +181,17 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     ["rootdatum", "factorize", "--in", '{"source":1}'],
     # a table in which one element has no inverse
     ["finrep", "irreducibles", "--group", '{"table":[[0,1],[1,1]]}'],
+    # a twist value that is not a coefficient object
+    ["hecke", "twist", "--spec", "datum:a1sc", "--psi", "[5]", "--a", "[]"],
+    # parameter factors that are not a list
+    ["param", "component-group", "--param", '{"factors":5}'],
+    # an Ad step whose vector is not a list of blocks
+    ["pullback", "--hom", '{"steps":[{"kind":"ad","dom":[["SL",3]],"g":5}]}',
+     "--param", "param:sln3"],
+    # character values that are not coefficient objects
+    ["finrep", "induce", "--group", "group:z4", "--normal", "0,2", "--rho", "[5]"],
+    # a spec without a datum
+    ["hecke", "mul", "--spec", '{"labels":5}', "--a", "[]", "--b", "[]"],
 ])
 def test_malformed_element_is_refused(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -204,6 +215,19 @@ def test_conductor_outside_the_guard_is_refused(conductor, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("validation error")
     assert out == ""
+
+
+def test_invalid_datum_is_refused_before_enumeration(capsys, monkeypatch):
+    # the reflections of this datum generate an infinite group; a small guard
+    # bounds the enumeration should the datum ever reach it
+    from hecke_functor import weyl
+    monkeypatch.setattr(weyl, "WEYL_SIZE_GUARD", 50)
+    datum = {"rank": 2, "roots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+             "coroots": [[2, -3], [-2, 3], [-3, 2], [3, -2]], "simples": [0, 2]}
+    code, out, err = run_cli(["weyl", "enumerate", "--in", json.dumps(datum)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("computation error: roots not stable")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_computation_exit_code(capsys):

@@ -616,6 +616,167 @@ def test_rgroup_ad_map_matches_matrix_computation(name, x_g):
         assert ad(_matrix_mul_im(spec, a, b)) == _matrix_mul_im(spec, ad(a), ad(b))
 
 
+def _graded_rgroup_specs():
+    datum, flip = _doubled_a1_with_flip()
+    one = Cyclo.rational(1)
+    clifford = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): cyclo_root_of_unity(1, 4)}
+    s3 = RGROUP_SPECS["S3 on three A1"].rgroup
+    return {"flip": GradedSpec(datum, rgroup=flip),
+            "Clifford cocycle": GradedSpec(datum, rgroup=flip, cocycle=clifford),
+            "S3 on three A1": GradedSpec(direct_sum(A1, A1, A1), rgroup=s3)}
+
+
+GRADED_RGROUP_SPECS = _graded_rgroup_specs()
+
+
+def _matrix_graded_mul(spec, a, b):
+    """graded_mul with gamma v gamma^-1 and the R-group product formed on
+    the matrices."""
+    from hecke_functor.hecke import _move_poly_left
+    out = {}
+    for (wi, gi), p in a.terms.items():
+        for (vi, hi), q in b.terms.items():
+            g = spec.rgroup[gi]
+            moved = _move_poly_left(spec, wi, spec.act_poly(g, q))
+            v_conj = spec.weyl.index_of(il.mat_mul(il.mat_mul(g, spec.weyl.matrices[vi]),
+                                                   il.inverse_unimodular(g)))
+            tail_r = spec.r_index[tuple(map(tuple, il.mat_mul(g, spec.rgroup[hi])))]
+            for u, c in moved.items():
+                key = (spec.weyl.mul(u, v_conj), tail_r)
+                term = p * c * spec.cocycle[(gi, hi)]
+                out[key] = out[key] + term if key in out else term
+    return GradedElement(spec, out)
+
+
+def _random_graded_element(rng, spec):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        poly = spec.poly_constant(rng.choice([1, -2, Fraction(1, 2)]))
+        for _ in range(rng.randint(0, 2)):
+            poly = poly * spec.coordinate(rng.randrange(spec.datum.rank))
+        terms[(rng.randrange(spec.weyl.order), rng.randrange(len(spec.rgroup)))] = poly
+    return GradedElement(spec, terms)
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_RGROUP_SPECS))
+def test_graded_rgroup_products_match_matrix_computation(name):
+    spec = GRADED_RGROUP_SPECS[name]
+    rng = random.Random(13)
+    gens = [spec.basis(None, 0, i) for i in range(len(spec.rgroup))]
+    gens += [spec.t_simple(j) for j in range(len(spec.datum.simples))]
+    gens += [spec.basis(spec.coordinate(i)) for i in range(spec.datum.rank)]
+    for a, b in itertools.product(gens, repeat=2):
+        assert graded_mul(spec, a, b) == _matrix_graded_mul(spec, a, b)
+    for _ in range(25):
+        a, b = _random_graded_element(rng, spec), _random_graded_element(rng, spec)
+        assert graded_mul(spec, a, b) == _matrix_graded_mul(spec, a, b)
+
+
+# ---------------------------------------------------------------------------
+# R-group data both spec classes refuse
+
+
+def _permutation_matrices(n):
+    return [tuple(tuple(int(p[i] == j) for j in range(n)) for i in range(n))
+            for p in itertools.permutations(range(n))]
+
+
+def _bad_rgroups():
+    datum, (ident, flip) = _doubled_a1_with_flip()
+    one, zeta3 = Cyclo.rational(1), cyclo_root_of_unity(1, 3)
+    return {
+        # not a permutation of the simple roots; with no params given,
+        # HeckeSpec used to raise StopIteration here
+        "sign change": (datum, [ident, ((-1, 0), (0, 1))], None),
+        "not closed": (datum, [ident, ((2, 0), (0, 1))], None),
+        "no identity": (datum, [], None),
+        "repeated element": (datum, [ident, flip, flip], None),
+        "above the size guard": (direct_sum(A1, A1, A1, A1), _permutation_matrices(4), None),
+        # fixes the root of A1 x GL1 but not its coroot, so it does not
+        # conjugate the Weyl group into itself
+        "moves the coroots": (direct_sum(A1, build_classical("GL", 1)),
+                              [ident, ((1, 1), (0, -1))], None),
+        "cocycle identity": (datum, [ident, flip],
+                             {(0, 0): one, (0, 1): zeta3, (1, 0): one, (1, 1): one}),
+        "incomplete cocycle": (datum, [ident, flip], {(0, 0): one, (1, 1): one}),
+        "cocycle not normalized": (datum, [ident, flip],
+                                   dict.fromkeys(itertools.product(range(2), repeat=2), -1)),
+    }
+
+
+BAD_RGROUPS = _bad_rgroups()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RGROUPS))
+def test_bad_rgroup_is_refused_by_both_specs(case):
+    datum, rgroup, cocycle = BAD_RGROUPS[case]
+    for cls in (HeckeSpec, GradedSpec):
+        with pytest.raises(HeckeError):
+            cls(datum, rgroup=rgroup, cocycle=cocycle)
+
+
+# ---------------------------------------------------------------------------
+# generators and their parameters, from the datum
+
+
+def _generator_data():
+    for family, ranks in (("A", (1, 2, 3)), ("B", (2, 3)), ("C", (2, 3)), ("D", (3,))):
+        for n in ranks:
+            for iso in ("sc", "ad"):
+                yield f"{family}{n}{iso}", build_classical(family, n, iso)
+    for n in (1, 2, 3):
+        yield f"GL{n}", build_classical("GL", n)
+    yield "A1ad+C2sc", direct_sum(A1AD, C2)
+
+
+def _support(datum, root_idx):
+    coeffs = datum.simple_root_coeffs(datum.roots[root_idx])
+    return {datum.simples[j] for j, c in enumerate(coeffs) if c}
+
+
+@pytest.mark.parametrize("name,datum", list(_generator_data()))
+def test_generators_and_parameters_from_the_datum(name, datum):
+    n_roots = len(datum.roots)
+    even = [all(c % 2 == 0 for c in coroot) for coroot in datum.coroots]
+    label_sets = [dict.fromkeys(range(n_roots), (1, 1))]
+    if any(even):
+        label_sets.append({i: (1, 2) if even[i] else (1, 1) for i in range(n_roots)})
+    components = datum.components()
+    for labels in label_sets:
+        spec = HeckeSpec(datum, labels=labels)
+        group = spec.weyl
+
+        def reflection(i):
+            alpha, alpha_v = datum.roots[i], datum.coroots[i]
+            return group.index[tuple(tuple(int(a == b) - alpha[a] * alpha_v[b]
+                                           for b in range(datum.rank))
+                                     for a in range(datum.rank))]
+
+        zero = (0,) * datum.rank
+        gens = [(zero, reflection(i)) for i in datum.simples]
+        roots = list(datum.simples)
+        for comp in components:
+            # the affine node t_theta s_theta of length 1, theta dominant
+            nodes = [i for i in range(n_roots)
+                     if _support(datum, i) and _support(datum, i) <= set(comp)
+                     and datum.is_dominant(datum.roots[i])
+                     and spec.key_length((datum.roots[i], reflection(i), 0)) == 1]
+            assert len(nodes) == 1
+            gens.append((datum.roots[nodes[0]], reflection(nodes[0])))
+            roots.append(nodes[0])
+        assert spec.all_gens == gens
+        assert spec.simple_gens == gens[:len(datum.simples)]
+        for pos, root in enumerate(roots):
+            comp = next(c for c, members in enumerate(components)
+                        if _support(datum, root) <= set(members))
+            lam, lam_star = labels[root]
+            affine = pos >= len(datum.simples)
+            z = LaurentPoly.monomial(spec.zvars, spec.params[comp],
+                                     lam_star if affine and even[root] else lam)
+            assert spec.gen_zpoly[pos] == z
+            assert spec.gen_deform[pos] == z - z ** -1
+
+
 # ---------------------------------------------------------------------------
 # the shared linear structure of the three element types and the
 # reduced factorization of basis keys

@@ -23,10 +23,85 @@ GL3 = build_classical("GL", 3)
 def test_enumeration_size_guard(monkeypatch):
     import hecke_functor.weyl as weyl_mod
     monkeypatch.setattr(weyl_mod, "WEYL_SIZE_GUARD", 10)
-    monkeypatch.setattr(weyl_mod.WeylGroup, "_cache", {})
+    weyl_mod._build_group.cache_clear()
     assert len(enumerate_weyl(build_classical("B", 2, "ad"))) == 8
     with pytest.raises(RootDatumError):
         enumerate_weyl(build_classical("C", 3, "ad"))   # |W| = 48 > 10
+
+
+def _breadth_first_reference(datum):
+    """Matrices and words of W in breadth-first order, level by level, with
+    each product w s_j formed as a full matrix product."""
+    from hecke_functor.weyl import _reflection_matrix
+    gens = [_reflection_matrix(datum, i) for i in datum.simples]
+    matrices, words = [il.identity(datum.rank)], [()]
+    index = {matrices[0]: 0}
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            for j, g in enumerate(gens):
+                prod = il.mat_mul(matrices[i], g)
+                if prod not in index:
+                    index[prod] = len(matrices)
+                    matrices.append(prod)
+                    words.append(words[i] + (j,))
+                    new_frontier.append(index[prod])
+        frontier = new_frontier
+    return matrices, words, gens
+
+
+@pytest.mark.parametrize("name,datum,order", [
+    ("A2", A2, 6), ("C2", C2, 8), ("B3", build_classical("B", 3, "ad"), 48),
+    ("D4", build_classical("D", 4, "sc"), 192), ("GL4", build_classical("GL", 4), 24)])
+def test_one_pass_enumeration_matches_matrix_products(name, datum, order):
+    group = WeylGroup(datum)
+    matrices, words, gens = _breadth_first_reference(datum)
+    assert group.order == len(group.matrices) == order
+    assert group.matrices == matrices and group.words == words
+    assert group.index == {m: i for i, m in enumerate(matrices)}
+    for i, m in enumerate(group.matrices):
+        assert len(group.right_mult[i]) == len(gens)
+        for j, g in enumerate(gens):
+            assert group.right_mult[i][j] == group.index[il.mat_mul(m, g)]
+        product = il.identity(datum.rank)
+        for s in group.words[i]:
+            product = il.mat_mul(product, gens[s])
+        assert product == m
+
+
+# roots (1, 0) and (0, 1) whose coroots pair with the other root to -3 each:
+# not a root datum, and its two reflections generate an infinite group
+INFINITE_REFLECTIONS = {"rank": 2, "roots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                        "coroots": [[2, -3], [-2, 3], [-3, 2], [3, -2]], "simples": [0, 2]}
+
+
+def test_invalid_datum_is_refused_before_enumeration(monkeypatch):
+    from hecke_functor.rootdata import BasedRootDatum
+    import hecke_functor.weyl as weyl_mod
+    # a small guard keeps a build that skips validation from running away
+    monkeypatch.setattr(weyl_mod, "WEYL_SIZE_GUARD", 50)
+    datum = BasedRootDatum.from_json(INFINITE_REFLECTIONS)
+    for _ in range(2):
+        with pytest.raises(RootDatumError, match="not stable"):
+            WeylGroup.build(datum)
+
+
+def test_build_validates_and_enumerates_once(monkeypatch):
+    from hecke_functor.hecke import GradedSpec, HeckeSpec
+    from hecke_functor.rootdata import BasedRootDatum, direct_sum
+    import hecke_functor.weyl as weyl_mod
+    weyl_mod._build_group.cache_clear()
+    calls = []
+    validate = BasedRootDatum.validate
+    monkeypatch.setattr(BasedRootDatum, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    datum = direct_sum(A2, C2)
+    group = WeylGroup.build(datum)
+    specs = [HeckeSpec(datum), HeckeSpec(datum, labels=2), GradedSpec(datum)]
+    assert all(spec.weyl is group for spec in specs)
+    assert calls == [datum]
+    assert weyl_mod._build_group.cache_info().maxsize is not None
 
 
 def test_reflect_basics():
