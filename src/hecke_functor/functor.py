@@ -320,6 +320,9 @@ def hom_ad(tag: GroupTag, g: Sequence[Sequence[int]]) -> GroupHomDesc:
     g = tuple(tuple(int(x) for x in gf) for gf in g)
     if len(g) != len(tag.factors):
         raise FunctorError("Ad vector needs one block per factor")
+    for (kind, n), block in zip(tag.factors, g):
+        if kind != "T" and len(block) != n:
+            raise FunctorError(f"the Ad block of a {kind}_{n} factor needs {n} entries")
     return GroupHomDesc([_Step("ad", tag, tag, ad_vector=g)])
 
 

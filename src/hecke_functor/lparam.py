@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .finrep import FiniteGroup, RepOrChar, irreducibles
@@ -291,7 +292,10 @@ def _cyclic_generator_index(fc: FactorComponents) -> int:
     raise LParamError("internal: multiplicity-free component group must be cyclic")
 
 
+@lru_cache(maxsize=256)
 def _sl_factor_components(eigs: tuple[Eig, ...]) -> FactorComponents:
+    # argument and result are frozen, so one result serves every caller;
+    # bounded, since eigenvalue lists read from JSON are unbounded
     n = len(eigs)
     if not _is_multiplicity_free(eigs):
         raise LParamError("SL-type factors require a multiplicity-free list")

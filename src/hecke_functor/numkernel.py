@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -42,8 +42,9 @@ __all__ = [
 
 
 # The largest conductor a JSON coefficient may carry.  Desk-scale objects stay
-# far below it (group exponents <= 64, ranks <= 8); decoding costs grow
-# faster than linearly in the conductor, about 0.3 s at the guard.
+# far below it (group exponents <= 64, ranks <= 8).  Decoding costs grow
+# faster than linearly in the conductor: a 330-term coefficient of conductor
+# 990, 998 or 1000 takes 0.01-0.07 s to decode cold (Python 3.11, 2-vCPU VM).
 CONDUCTOR_GUARD = 1000
 
 
@@ -130,47 +131,20 @@ def _poly_rem(coeffs: dict[int, Fraction], modulus: tuple[int, ...]) -> dict[int
     dense_deg = max(coeffs, default=0)
     if dense_deg < deg_mod:
         return {k: v for k, v in coeffs.items() if v}
-    dense = [Fraction(0)] * (dense_deg + 1)
+    # integer numerators over one common denominator, and only the nonzero
+    # terms of the modulus: most cyclotomic polynomials are sparse
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    dense = [0] * (dense_deg + 1)
     for k, v in coeffs.items():
-        dense[k] = v
+        dense[k] = v.numerator * (den // v.denominator)
+    low = [(i - deg_mod, c) for i, c in enumerate(modulus[:deg_mod]) if c]
     for d in range(dense_deg, deg_mod - 1, -1):
         c = dense[d]
         if c:
-            dense[d] = Fraction(0)
-            for i in range(deg_mod):
-                dense[d - deg_mod + i] -= c * modulus[i]
-    return {k: v for k, v in enumerate(dense[:deg_mod]) if v}
-
-
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve rows * x = rhs exactly; None if inconsistent.  rows is m x k."""
-    m = len(rows)
-    k = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_cols = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][k]
-    return x
+            dense[d] = 0
+            for i, m in low:
+                dense[d + i] -= c * m
+    return {k: Fraction(v, den) for k, v in enumerate(dense[:deg_mod]) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +441,48 @@ def _coerce(value) -> "Cyclo":
 
 
 def _rewrite_in_subfield(n: int, coeffs: dict[int, Fraction], m: int) -> dict[int, Fraction] | None:
-    """Express an element of Q(zeta_n) in the power basis of Q(zeta_m) (m | n), or None."""
-    phi_n, phi_m = _phi(n), _phi(m)
-    step = n // m
-    mod = _cyclotomic_poly(n)
-    cols = []
-    for j in range(phi_m):
-        col = _poly_rem({j * step: Fraction(1)}, mod) if n > 1 else {j * step: Fraction(1)}
-        cols.append([col.get(i, Fraction(0)) for i in range(phi_n)])
-    rows = [[cols[j][i] for j in range(phi_m)] for i in range(phi_n)]
-    rhs = [coeffs.get(i, Fraction(0)) for i in range(phi_n)]
-    sol = _solve_linear(rows, rhs)
-    if sol is None:
+    """Express an element of Q(zeta_n), reduced modulo Phi_n, in the power basis
+    of Q(zeta_m), where p = n / m is prime; None if it does not lie there.
+
+    With zeta_m = zeta_n^p no linear system is needed:
+
+    * p | m: Phi_n(x) = Phi_m(x^p), so 1, zeta_n, ..., zeta_n^(p-1) is a basis
+      of Q(zeta_n) over Q(zeta_m) and the element lies in Q(zeta_m) exactly
+      when every exponent is divisible by p.
+    * otherwise zeta_n^i = zeta_m^a zeta_p^b with a = i p^-1 mod m and
+      b = i m^-1 mod p.  Gathering the terms by b writes the element as
+      sum_b B_b zeta_p^b with B_b in Q(zeta_m); since 1, zeta_p, ...,
+      zeta_p^(p-2) is a basis over Q(zeta_m) and the p-th roots of unity sum
+      to zero, it lies in Q(zeta_m) exactly when B_1 = ... = B_(p-1), and then
+      it is B_0 - B_1.
+
+    >>> _rewrite_in_subfield(6, {1: Fraction(1)}, 3)   # zeta_6 = -zeta_3^2 = 1 + zeta_3
+    {0: Fraction(1, 1), 1: Fraction(1, 1)}
+    >>> _rewrite_in_subfield(9, {1: Fraction(1)}, 3) is None
+    True
+    """
+    p = n // m
+    if m % p == 0:
+        if any(i % p for i in coeffs):
+            return None
+        return {i // p: v for i, v in coeffs.items()}
+    p_inv, m_inv = pow(p, -1, m), pow(m, -1, p)
+    # i -> (a, b) is a bijection, so each bucket gets each a at most once
+    buckets: list[dict[int, Fraction]] = [{} for _ in range(p)]
+    for i, v in coeffs.items():
+        buckets[i * m_inv % p][i * p_inv % m] = v
+    mod = _cyclotomic_poly(m)
+    first = _poly_rem(buckets[1], mod)
+    if any(_poly_rem(b, mod) != first for b in buckets[2:]):
         return None
-    return {j: v for j, v in enumerate(sol) if v}
+    out = _poly_rem(buckets[0], mod)
+    for a, v in first.items():
+        s = out.get(a, _FR0) - v
+        if s:
+            out[a] = s
+        else:
+            del out[a]
+    return out
 
 
 def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
@@ -538,7 +540,14 @@ def cyclo_root_of_unity(a: int, n: int) -> Cyclo:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    return Cyclo._make(n, {a % n: Fraction(1)})
+    return _root_of_unity(a % n, n)
+
+
+@lru_cache(maxsize=1024)
+def _root_of_unity(a: int, n: int) -> Cyclo:
+    # Cyclo values are immutable, so one is shared by every caller; bounded,
+    # since n can come from the angles of JSON eigenvalues
+    return Cyclo._make(n, {a: _FR1})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from . import intlattice as il
 from .intlattice import IntMatrix
@@ -76,34 +77,43 @@ class BasedRootDatum:
         k = self.pairing(x, self.coroots[j])
         return tuple(a - k * b for a, b in zip(x, self.roots[j]))
 
-    def coreflect(self, j: int, y: tuple[int, ...]) -> tuple[int, ...]:
-        k = self.pairing(self.roots[j], y)
-        return tuple(a - k * b for a, b in zip(y, self.coroots[j]))
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {alpha: i for i, alpha in enumerate(self.roots)}
 
     def root_index(self, vec: tuple[int, ...]) -> int | None:
-        try:
-            return self.roots.index(tuple(vec))
-        except ValueError:
-            return None
+        return self._index.get(tuple(vec))
+
+    @cached_property
+    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+        # one factorisation of the simple-root basis per datum (the datum is
+        # immutable); RootDatumError when the simple roots are dependent
+        return _coordinate_solver([self.roots[i] for i in self.simples], self.rank)
+
+    def _simple_coords(self, vec: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+        """(num, den) with vec = sum_j num_j / den * alpha_{simples[j]} and
+        den > 0, or None if vec is outside the span of the simple roots."""
+        pivots, columns, den = self._coordinates
+        z = [vec[c] for c in pivots]
+        num = tuple(sum(a * b for a, b in zip(z, col)) for col in columns)
+        for c in range(self.rank):
+            if sum(x * self.roots[i][c] for x, i in zip(num, self.simples)) != den * vec[c]:
+                return None
+        return num, den
 
     def simple_root_coeffs(self, vec: tuple[int, ...]) -> tuple[Fraction, ...] | None:
         """Coefficients of vec on the simple roots, if vec lies in their span."""
-        basis = [self.roots[i] for i in self.simples]
-        if not basis:
-            return () if all(v == 0 for v in vec) else None
-        rows = [[Fraction(b[i]) for b in basis] for i in range(self.rank)]
-        from .numkernel import _solve_linear
-        sol = _solve_linear(rows, [Fraction(v) for v in vec])
-        if sol is None:
+        coords = self._simple_coords(vec)
+        if coords is None:
             return None
-        # the solver returns one solution; simple roots are independent, so unique
-        return tuple(sol)
+        num, den = coords
+        return tuple(Fraction(x, den) for x in num)
 
     def positive_root_indices(self) -> tuple[int, ...]:
         out = []
         for i, alpha in enumerate(self.roots):
-            coeffs = self.simple_root_coeffs(alpha)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
+            coords = self._simple_coords(alpha)
+            if coords is not None and all(x >= 0 for x in coords[0]):
                 out.append(i)
         return tuple(out)
 
@@ -137,39 +147,44 @@ class BasedRootDatum:
 
     def validate(self) -> None:
         """Raise RootDatumError if any datum invariant fails."""
-        n = len(self.roots)
-        if len(self.coroots) != n:
+        roots, coroots = self.roots, self.coroots
+        n = len(roots)
+        if len(coroots) != n:
             raise RootDatumError("roots and coroots must be index-matched")
-        root_set = set(self.roots)
-        coroot_set = set(self.coroots)
-        if len(root_set) != n:
+        index = self._index
+        if len(index) != n:
             raise RootDatumError("duplicate roots")
+        coroot_set = set(coroots)
+        # cartan[i][j] = <alpha_i, alpha_j^>, computed once
+        cartan = [[sum(a * b for a, b in zip(alpha, beta_v)) for beta_v in coroots]
+                  for alpha in roots]
         for i in range(n):
-            if self.cartan(i, i) != 2:
+            if cartan[i][i] != 2:
                 raise RootDatumError(f"<alpha, alpha^> != 2 at index {i}")
-        for i in range(n):
-            for j in range(n):
-                c = self.cartan(i, j)
-                if self.roots[i] != self.roots[j] and \
-                        self.roots[i] != tuple(-x for x in self.roots[j]) and abs(c) > 3:
+        negatives = [tuple(-x for x in beta) for beta in roots]
+        for i, (alpha, alpha_v) in enumerate(zip(roots, coroots)):
+            for j, (beta, beta_v) in enumerate(zip(roots, coroots)):
+                c = cartan[i][j]
+                if abs(c) > 3 and alpha != beta and alpha != negatives[j]:
                     raise RootDatumError(f"Cartan integer {c} out of range at ({i},{j})")
-                if tuple(self.reflect(j, self.roots[i])) not in root_set:
+                # s_j(alpha_i) and s_j(alpha_i^), matched index by index
+                k = index.get(tuple(a - c * b for a, b in zip(alpha, beta)))
+                if k is None:
                     raise RootDatumError(f"roots not stable under s_{j}")
-                if tuple(self.coreflect(j, self.coroots[i])) not in coroot_set:
-                    raise RootDatumError(f"coroots not stable under s_{j}")
-        # reflection compatibility of the matching
-        for j in range(n):
-            for i in range(n):
-                k = self.root_index(self.reflect(j, self.roots[i]))
-                if self.coroots[k] != self.coreflect(j, self.coroots[i]):
+                c_v = cartan[j][i]
+                image_v = tuple(a - c_v * b for a, b in zip(alpha_v, beta_v))
+                if coroots[k] != image_v:
+                    if image_v not in coroot_set:
+                        raise RootDatumError(f"coroots not stable under s_{j}")
                     raise RootDatumError("root/coroot matching not reflection-equivariant")
-        for i in range(n):
-            coeffs = self.simple_root_coeffs(self.roots[i])
-            if coeffs is None:
+        for i, alpha in enumerate(roots):
+            coords = self._simple_coords(alpha)
+            if coords is None:
                 raise RootDatumError(f"root {i} outside the span of the simples")
-            if any(c.denominator != 1 for c in coeffs):
+            num, den = coords
+            if any(x % den for x in num):
                 raise RootDatumError(f"root {i} is not an integer combination of simples")
-            if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            if not (all(x >= 0 for x in num) or all(x <= 0 for x in num)):
                 raise RootDatumError(f"root {i} has mixed signs on the simples")
 
     # -- serialization ----------------------------------------------------------
@@ -197,6 +212,39 @@ class BasedRootDatum:
             raise RootDatumError(f"simples must be a list of root indices below {len(roots)}")
         return BasedRootDatum(rank, tuple(map(tuple, roots)),
                               tuple(map(tuple, data["coroots"])), tuple(simples))
+
+
+def _coordinate_solver(basis: list[tuple[int, ...]], rank: int
+                       ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """(pivots, columns, den) for vectors `basis` in Z^rank.
+
+    The coordinates of v in the span of `basis` are y_j = sum_r v[pivots[r]]
+    * columns[j][r] / den: Gauss-Jordan elimination of the rows `basis`, with
+    the row operations recorded beside them, inverts the block of `basis` on
+    the pivot coordinates.  RootDatumError if the vectors are dependent.
+    """
+    k = len(basis)
+    rows = [[Fraction(x) for x in b] + [Fraction(int(i == j)) for j in range(k)]
+            for i, b in enumerate(basis)]
+    pivots = []
+    for c in range(rank):
+        r = len(pivots)
+        pr = next((i for i in range(r, k) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(k):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if len(pivots) < k:
+        raise RootDatumError("the simple roots are linearly dependent")
+    den = lcm(*(x.denominator for row in rows for x in row[rank:]))
+    columns = tuple(zip(*(tuple(int(x * den) for x in row[rank:]) for row in rows)))
+    return tuple(pivots), columns, den
 
 
 def _is_int_rows(rows, width: int) -> bool:

@@ -188,6 +188,9 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     # an Ad step whose vector is not a list of blocks
     ["pullback", "--hom", '{"steps":[{"kind":"ad","dom":[["SL",3]],"g":5}]}',
      "--param", "param:sln3"],
+    # an Ad block longer than its SL_3 factor
+    ["pullback", "--hom", '{"steps":[{"kind":"ad","dom":[["SL",3]],"g":[[1,2,3,4,5]]}]}',
+     "--param", "param:sln3"],
     # character values that are not coefficient objects
     ["finrep", "induce", "--group", "group:z4", "--normal", "0,2", "--rho", "[5]"],
     # a spec without a datum
@@ -227,6 +230,14 @@ def test_invalid_datum_is_refused_before_enumeration(capsys, monkeypatch):
     code, out, err = run_cli(["weyl", "enumerate", "--in", json.dumps(datum)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("computation error: roots not stable")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_dependent_simple_roots_are_refused(capsys):
+    datum = {"rank": 1, "roots": [[1], [-1]], "coroots": [[2], [-2]], "simples": [0, 1]}
+    code, out, err = run_cli(["weyl", "enumerate", "--in", json.dumps(datum)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("computation error: the simple roots are linearly dependent")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -384,3 +384,11 @@ def test_warm_transitivity_chain_builds_nothing():
     for b, a in zip(before, after):
         assert a.misses == b.misses and a.currsize == b.currsize
     assert after[1].hits > before[1].hits
+
+
+def test_ad_blocks_must_match_their_factors():
+    tag = GroupTag((("SL", 3), ("T", 2)), (0, 0))
+    hom_ad(tag, [[1, 0, 0], [5]])          # a torus block is not read
+    for g in ([[1, 2, 3, 4, 5], [0, 0]], [[1, 2], [0, 0]]):
+        with pytest.raises(FunctorError, match="Ad block"):
+            hom_ad(tag, g)

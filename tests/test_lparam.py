@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_functor import lparam
 from hecke_functor.finrep import hom_mult
 from hecke_functor.numkernel import Cyclo, cyclo_root_of_unity
 from hecke_functor.lparam import (
@@ -292,3 +293,20 @@ def test_parameter_json_round_trip():
     tag2, phi2 = parameter_from_json(data)
     assert tag2 == tag
     assert phi2 == phi
+
+
+def test_sl_factor_components_are_memoised():
+    cache = lparam._sl_factor_components
+    lists = [ToyParameter.principal_cycle(sl_tag(n)).factors[0] for n in range(1, 9)]
+    lists += [(Eig(0, Fraction(a, 12)), Eig(1, Fraction(b, 12)), Eig(0, Fraction(c, 12)))
+              for a, b, c in itertools.permutations(range(0, 12, 4), 3)]
+    lists += [(Eig(0, 0), Eig(0, Fraction(1, 3)), Eig(0, Fraction(2, 3)), Eig(Fraction(1, 2), 0))]
+    for eigs in lists:
+        eigs = tuple(eigs)
+        result = cache(eigs)
+        assert result == cache.__wrapped__(eigs)
+        assert cache(eigs) is result
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    with pytest.raises(LParamError):
+        cache((Eig(0, 0), Eig(0, 0)))

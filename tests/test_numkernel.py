@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hecke_functor import numkernel
 from hecke_functor.numkernel import (
     CONDUCTOR_GUARD, Cyclo, LaurentPoly, cyclo_root_of_unity, laurent_eval,
 )
@@ -105,6 +107,82 @@ def test_cyclo_json_conductor_guard():
     for n in (0, -1, CONDUCTOR_GUARD + 1):
         with pytest.raises(ValueError):
             Cyclo.from_json({"n": n, "coeffs": [[1, "1"]]})
+
+
+def _reference_rewrite(n, coeffs, m):
+    """The element of Q(zeta_n) in the power basis of Q(zeta_m), or None, by
+    solving the linear system: the columns are zeta_m^j = zeta_n^(j n/m)
+    reduced modulo Phi_n, the right-hand side is the element."""
+    phi_n, phi_m = numkernel._phi(n), numkernel._phi(m)
+    mod = numkernel._cyclotomic_poly(n)
+    cols = [numkernel._poly_rem({j * (n // m): Fraction(1)}, mod) for j in range(phi_m)]
+    aug = [[col.get(i, Fraction(0)) for col in cols] + [coeffs.get(i, Fraction(0))]
+           for i in range(phi_n)]
+    pivots, r = [], 0
+    for c in range(phi_m):
+        pr = next((i for i in range(r, phi_n) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        aug[r] = [a / aug[r][c] for a in aug[r]]
+        for i in range(phi_n):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][phi_m] for i in range(r, phi_n)):
+        return None
+    return {c: aug[i][phi_m] for i, c in enumerate(pivots) if aug[i][phi_m]}
+
+
+def test_subfield_rewrite_matches_the_linear_solve():
+    # every conductor below 120 and each prime p | n, with an element of the
+    # subfield Q(zeta_{n/p}) and a random element of Q(zeta_n)
+    rng = random.Random(1)
+    inside = outside = 0
+    for n in range(2, 120):
+        for p in numkernel._prime_divisors(n):
+            m = n // p
+            sub = {j * p: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                   for j in range(numkernel._phi(m))}
+            generic = {i: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                       for i in range(numkernel._phi(n)) if rng.random() < 0.5}
+            for raw in (sub, generic):
+                coeffs = numkernel._poly_rem({k: v for k, v in raw.items() if v},
+                                             numkernel._cyclotomic_poly(n))
+                expect = _reference_rewrite(n, coeffs, m)
+                assert numkernel._rewrite_in_subfield(n, coeffs, m) == expect, (n, m, coeffs)
+                inside += expect is not None
+                outside += expect is None
+    assert inside > 200 and outside > 100
+
+
+@pytest.mark.parametrize("n", [990, 998, 1000])
+def test_decoding_near_the_conductor_guard_is_fast(n):
+    # a generic element and one that lies in a proper subfield, cold: the
+    # cyclotomic polynomials are computed inside the timed call
+    generic = {"n": n, "coeffs": [[k, f"{k % 7 - 3}/{k % 5 + 1}"] for k in range(0, n, 3)]}
+    in_subfield = {"n": n, "coeffs": [[2 * k, "1"] for k in range(0, n // 2, 5)]}
+    for data in (generic, in_subfield):
+        numkernel._cyclotomic_poly.cache_clear()
+        start = time.perf_counter()
+        value = Cyclo.from_json(data)
+        assert time.perf_counter() - start < 1.0
+        assert Cyclo.from_json(value.to_json()) == value
+
+
+def test_roots_of_unity_are_memoised_on_the_reduced_exponent():
+    cache = numkernel._root_of_unity
+    for n in range(1, 40):
+        for a in range(-n, 2 * n):
+            z = cyclo_root_of_unity(a, n)
+            assert z == cache.__wrapped__(a % n, n)
+            assert cyclo_root_of_unity(a + 5 * n, n) is z
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    with pytest.raises(ValueError):
+        cyclo_root_of_unity(1, 0)
 
 
 # ---------------------------------------------------------------------------

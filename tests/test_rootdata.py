@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +95,97 @@ def test_memoised_build_matches_a_fresh_build():
         assert datum == fresh_build(family, n, iso)
         datum.validate()
         assert build_classical(family, n, iso) is datum
+
+
+def _fraction_coeffs(datum, vec):
+    """Coordinates of vec on the simple roots by a Fraction solve of the
+    rank x k system, or None if it has no solution."""
+    k = len(datum.simples)
+    aug = [[Fraction(datum.roots[i][c]) for i in datum.simples] + [Fraction(vec[c])]
+           for c in range(datum.rank)]
+    pivots, r = [], 0
+    for c in range(k):
+        pr = next((i for i in range(r, datum.rank) if aug[i][c]), None)
+        assert pr is not None, "dependent simple roots"
+        aug[r], aug[pr] = aug[pr], aug[r]
+        aug[r] = [a / aug[r][c] for a in aug[r]]
+        for i in range(datum.rank):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if any(aug[i][k] for i in range(r, datum.rank)):
+        return None
+    return tuple(aug[i][k] for i in range(k))
+
+
+def _coordinate_data():
+    for family, n, iso in _classical_keys():
+        yield build_classical(family, n, iso)
+    yield direct_sum(build_classical("A", 2, "sc"), build_classical("C", 2, "ad"))
+    yield direct_sum(build_classical("B", 3, "ad"), torus_datum(1),
+                     build_classical("GL", 2))
+    yield direct_sum(build_classical("D", 4, "sc"), build_classical("A", 1, "ad"))
+    yield direct_sum(torus_datum(2), torus_datum(0))
+
+
+def test_simple_coordinates_match_a_fraction_solve():
+    rng = random.Random(5)
+    for datum in _coordinate_data():
+        vectors = list(datum.roots)
+        vectors += [tuple(rng.randint(-3, 3) for _ in range(datum.rank)) for _ in range(20)]
+        vectors += [tuple(sum(rng.randint(-2, 2) * x for x in col) for col in zip(*vectors[:3]))]
+        for vec in vectors:
+            assert datum.simple_root_coeffs(vec) == _fraction_coeffs(datum, vec), (datum, vec)
+        positive = tuple(i for i, alpha in enumerate(datum.roots)
+                         if all(c >= 0 for c in _fraction_coeffs(datum, alpha)))
+        assert datum.positive_root_indices() == positive
+        assert 2 * len(positive) == len(datum.roots)
+        for i, alpha in enumerate(datum.roots):
+            assert datum.root_index(alpha) == i
+            assert datum.root_index(list(alpha)) == i
+        assert datum.root_index((7,) * datum.rank) is None
+
+
+def test_dependent_simple_roots_are_refused():
+    datum = BasedRootDatum(1, ((1,), (-1,)), ((2,), (-2,)), (0, 1))
+    with pytest.raises(RootDatumError, match="linearly dependent"):
+        datum.validate()
+    with pytest.raises(RootDatumError, match="linearly dependent"):
+        BasedRootDatum(1, ((2,), (-2,)), ((1,), (-1,)), (1, 1)).validate()
+
+
+_B2_AD = build_classical("B", 2, "ad")
+
+
+@pytest.mark.parametrize("datum,message", [
+    (BasedRootDatum(1, ((2,), (-2,)), ((1,),), (0,)), "index-matched"),
+    (BasedRootDatum(1, ((2,), (2,)), ((1,), (1,)), (0,)), "duplicate roots"),
+    (BasedRootDatum(1, ((-2,), (2,)), ((0,), (1,)), (1,)), "!= 2"),
+    (BasedRootDatum(2, ((-2, 2), (-1, 0), (-1, 2), (0, -2), (0, 2), (1, -2), (1, 0), (2, -2)),
+                    ((-1, 0), (-2, 0), (0, 1), (-1, -1), (1, 1), (0, -1), (2, 1), (1, 0)),
+                    (7, 2)), "Cartan integer 4 out of range"),
+    (BasedRootDatum(2, ((-2, 0), (0, -1), (0, 1), (2, 0)),
+                    ((-1, 0), (1, -2), (0, 2), (1, 0)), (3, 2)), "roots not stable"),
+    (BasedRootDatum(2, ((-2, 0), (0, -1), (0, 1), (2, 0)),
+                    ((-1, 1), (0, -2), (0, 2), (1, 0)), (3, 2)), "coroots not stable"),
+    # A1 x A1 with only one simple root
+    (BasedRootDatum(2, ((2, 0), (-2, 0), (0, 1), (0, -1)),
+                    ((1, 0), (-1, 0), (0, 2), (0, -2)), (0,)), "outside the span"),
+    # the two long roots of B2 as simples: a short root is half their sum
+    (BasedRootDatum(2, _B2_AD.roots, _B2_AD.coroots,
+                    (_B2_AD.root_index((1, 0)), _B2_AD.root_index((1, 2)))),
+     "not an integer combination"),
+    # alpha_1 and alpha_1 + alpha_2 of A2 as simples: alpha_2 has mixed signs
+    (BasedRootDatum(2, build_classical("A", 2, "ad").roots,
+                    build_classical("A", 2, "ad").coroots,
+                    tuple(build_classical("A", 2, "ad").root_index(v)
+                          for v in ((1, 0), (1, 1)))), "mixed signs"),
+])
+def test_each_datum_invariant_is_checked(datum, message):
+    with pytest.raises(RootDatumError, match=message):
+        datum.validate()
 
 
 def test_gl_isogeny_is_not_part_of_the_key():
