@@ -23,7 +23,7 @@ from .functor import (
     hom_dual_automorphism, hom_gl_to_pgl, hom_sl_to_gl, hom_sl_to_pgl,
     hom_torus_insertion, packet_union_check, smap,
 )
-from .hecke import HeckeSpec, ad_xg, is_central, mul_im, theta
+from .hecke import HeckeSpec, ad_xg, basis_product, is_central, mul_im, theta
 from .lparam import (
     GroupTag, ToyParameter, component_group, relevant_enhancements,
     tau_character,
@@ -150,22 +150,18 @@ def criterion_hecke_kernel(seed: int = 20240, pairs: int = 200):
             if mul_im(spec, n_s, n_s) != e + n_s.scale(spec.gen_deform[pos]):
                 return False, f"{name}: quadratic relation fails at {pos}"
 
-        # exhaustive associativity, total length <= 6, working directly on
-        # the memoized basis-product tables
-        from .hecke import _add_into, _basis_mul_plain
+        # exhaustive associativity, total length <= 6, through the memoized
+        # basis product
         by_len = _keys_up_to_length(spec, 6)
-
-        def product(k1, k2):
-            return _basis_mul_plain(spec, k1, k2)
-
-        pair_products: dict[tuple, dict] = {}
+        basis = {k: spec.basis(*k) for keys in by_len.values() for k in keys}
+        pair_products = {}
         lengths = sorted(by_len)
         for la, lb in itertools.product(lengths, repeat=2):
             if la + lb > 6:
                 continue
             for ka in by_len[la]:
                 for kb in by_len[lb]:
-                    pair_products[(ka, kb)] = product(ka, kb)
+                    pair_products[(ka, kb)] = basis_product(spec, ka, kb)
         triples = 0
         for la, lb, lc in itertools.product(lengths, repeat=3):
             if la + lb + lc > 6:
@@ -174,16 +170,8 @@ def criterion_hecke_kernel(seed: int = 20240, pairs: int = 200):
                 for kc in by_len[lc]:
                     bc = pair_products[(kb, kc)]
                     for ka in by_len[la]:
-                        ab = pair_products[(ka, kb)]
-                        lhs: dict = {}
-                        for k, p in ab.items():
-                            for k2, q in product((k[0], k[1]), kc).items():
-                                _add_into(lhs, k2, p * q)
-                        rhs: dict = {}
-                        for k, p in bc.items():
-                            for k2, q in product(ka, (k[0], k[1])).items():
-                                _add_into(rhs, k2, q * p)
-                        if lhs != rhs:
+                        if (mul_im(spec, pair_products[(ka, kb)], basis[kc])
+                                != mul_im(spec, basis[ka], bc)):
                             return False, f"{name}: associativity fails"
                         triples += 1
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation failure, 1 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -354,7 +355,10 @@ def _cmd_selftest(args):
     return run_all(verbose=True, seed=args.seed)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing keeps no state in it, so
+    every request (a refused one included) leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=None)
     common.add_argument("--out", default=None, help="write output to a file")

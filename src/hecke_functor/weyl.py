@@ -13,13 +13,21 @@ component is t_theta s_theta for the dominant short root theta.  The
 alternative convention (offset +1 on the second sum) is not used anywhere;
 `LENGTH_POLICY` records the choice so cross-checks against other sources
 know what to compare.
+
+Lengths are read from tables of root indices, not from matrices.  Each
+element w gets, on first use, its root row (row[i] = index of w(alpha_i))
+and its inversion row (a 0/1 flag per positive root a: is w^-1 a < 0?),
+both built along w's reduced word, so that a single request touches l(w) + 1
+rows and never a |W| x |Phi| table.  The length is then the sum, over the
+positive roots, of |<x, a^> - flag(a)|: the formula above under
+`LENGTH_POLICY`, with the offset -1 exactly on the inversion row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import intlattice as il
 from .intlattice import IntMatrix
@@ -116,11 +124,34 @@ class WeylGroup:
             i += 1
         self.order = len(self.matrices)
         self.positive_indices = datum.positive_root_indices()
-        self._pos_set = set(self.positive_indices)
         self._inv: list[int] | None = None
+        # rows of the elements met so far, each built along its reduced word
+        self._rows: dict[int, tuple[int, ...]] = {0: tuple(range(len(datum.roots)))}
+        self._inversions: dict[int, tuple[int, ...]] = {}
 
-    def positive_set(self) -> set:
-        return self._pos_set
+    # The root tables, built on first use (most users of a group never ask
+    # for a length); the datum is valid, so every root lookup hits.
+
+    @cached_property
+    def slot(self) -> dict[int, int]:
+        """slot[i] = position of the positive root i in positive_indices."""
+        return {i: k for k, i in enumerate(self.positive_indices)}
+
+    @cached_property
+    def positive_coroots(self) -> list[tuple[int, ...]]:
+        return [self.datum.coroots[i] for i in self.positive_indices]
+
+    @cached_property
+    def _negative(self) -> list[int]:
+        """_negative[i] = index of -alpha_i."""
+        return [self.datum.root_index(tuple(-v for v in alpha)) for alpha in self.datum.roots]
+
+    @cached_property
+    def _refl(self) -> list[list[int]]:
+        """_refl[j][i] = index of s_j(alpha_i) for the j-th simple reflection."""
+        datum = self.datum
+        return [[datum.root_index(datum.reflect(i, alpha)) for alpha in datum.roots]
+                for i in datum.simples]
 
     @classmethod
     def build(cls, datum: BasedRootDatum) -> "WeylGroup":
@@ -171,6 +202,41 @@ class WeylGroup:
     def act(self, i: int, x: tuple[int, ...]) -> tuple[int, ...]:
         return il.mat_vec(self.matrices[i], x)
 
+    def row(self, i: int) -> tuple[int, ...]:
+        """The root row of element i: row(i)[k] is the index of w_i(alpha_k).
+
+        Built, with the rows of the prefixes of w_i's reduced word, from
+        row(w s_j)[k] = row(w)[refl_j[k]]; each prefix of a stored word is
+        the stored word of that prefix's element."""
+        rows = self._rows
+        got = rows.get(i)
+        if got is None:
+            got, at = rows[0], 0
+            for s in self.words[i]:
+                at = self.right_mult[at][s]
+                prefix = rows.get(at)
+                if prefix is None:
+                    refl = self._refl[s]
+                    prefix = rows[at] = tuple(got[k] for k in refl)
+                got = prefix
+        return got
+
+    def inversions(self, i: int) -> tuple[int, ...]:
+        """The inversion row of element i: one 0/1 flag per positive root a
+        (in the order of positive_indices), 1 when w_i^-1 a < 0.
+
+        Those a are the -w_i(b) for the positive b that w_i makes negative."""
+        got = self._inversions.get(i)
+        if got is None:
+            row, slot, negative = self.row(i), self.slot, self._negative
+            flags = [0] * len(self.positive_indices)
+            for b in self.positive_indices:
+                image = row[b]
+                if image not in slot:
+                    flags[slot[negative[image]]] = 1
+            got = self._inversions[i] = tuple(flags)
+        return got
+
 
 @lru_cache(maxsize=256)
 def _build_group(datum: BasedRootDatum) -> WeylGroup:
@@ -204,18 +270,11 @@ def length(elt: ExtAffineElt, datum: BasedRootDatum) -> int:
 
 
 def _length_indexed(group: WeylGroup, x: tuple[int, ...], wi: int) -> int:
-    datum = group.datum
-    winv = group.inv(wi)
+    # sum over the positive roots a of |<x, a^> - 1| on the inversion row
+    # (w^-1 a < 0) and |<x, a^>| off it
     total = 0
-    for i in group.positive_indices:
-        alpha = datum.roots[i]
-        k = datum.pairing(x, datum.coroots[i])
-        pre_image = group.act(winv, alpha)
-        # sign of w^-1(alpha): positive iff it is again a positive root
-        if datum.root_index(pre_image) in group.positive_set():
-            total += abs(k)
-        else:
-            total += abs(k - 1)
+    for coroot, flag in zip(group.positive_coroots, group.inversions(wi)):
+        total += abs(sum(p * q for p, q in zip(x, coroot)) - flag)
     return total
 
 
@@ -424,13 +483,11 @@ def omega_subgroup(datum: BasedRootDatum) -> list[ExtAffineElt]:
     sat_matrix = il.transpose(tuple(sat))
     out = []
     simple_coroots = [datum.coroots[i] for i in datum.simples]
+    simple_slots = [group.slot[i] for i in datum.simples]
     for wi in range(group.order):
-        winv = group.inv(wi)
-        targets = []
-        for i in datum.simples:
-            pre = group.act(winv, datum.roots[i])
-            positive = datum.root_index(pre) in group.positive_set()
-            targets.append(0 if positive else 1)
+        # <x, a_i^> = 1 exactly where w^-1 a_i < 0
+        flags = group.inversions(wi)
+        targets = [flags[k] for k in simple_slots]
         # solve <x, a_i^> = target_i with x = sat * y
         rows = tuple(tuple(sum(sat_matrix[k][j] * cv[k] for k in range(r))
                            for j in range(len(sat)))

@@ -286,3 +286,36 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    from hecke_functor import cli
+    monkeypatch.setenv("COLUMNS", "80")            # one help layout on both sides
+    assert cli.build_parser() is cli.build_parser()
+    refused = ["weyl", "bogus", "--in", "datum:a2sc"]
+    requests = [["weyl", "length", "--in", "datum:a2sc",
+                 "--element", '{"t": [1, -1], "w_word": [0, 1]}'],
+                ["hecke", "mul", "--spec", "datum:a1sc", "--a", _elt([1], [0]),
+                 "--b", _elt([0], [0])]]
+    in_process = []
+    for request in requests:
+        with pytest.raises(SystemExit) as exc:
+            main(refused)
+        assert exc.value.code == 2
+        refusal = capsys.readouterr().err
+        in_process.append(run_cli(request, capsys))
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text == cli.build_parser.__wrapped__().format_help()
+
+    def fresh(args):
+        proc = subprocess.run([sys.executable, "-m", "hecke_functor.cli", *args],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert [code for code, _, _ in in_process] == [0, 0]
+    assert fresh(refused) == (2, "", refusal)
+    assert in_process == [fresh(request) for request in requests]
+    assert fresh(["--help"]) == (0, help_text, "")

@@ -11,8 +11,8 @@ from hecke_functor.rootdata import build_classical, direct_sum
 from hecke_functor.bernstein import BernElement, bern_basis, bern_to_im, mul_bernstein
 from hecke_functor.hecke import (
     GradedElement, GradedSpec, HeckeElement, HeckeError, HeckeSpec, _basis_mul_plain,
-    ad_xg, alpha_g_twist, blz_check, graded_mul, hom_from_big, intermediate_algebra,
-    is_central, mul_im, theta,
+    ad_xg, alpha_g_twist, basis_product, blz_check, graded_mul, hom_from_big,
+    intermediate_algebra, is_central, mul_im, theta,
 )
 
 A1 = build_classical("A", 1, "sc")
@@ -862,3 +862,56 @@ def test_factorize_rebuilds_every_short_key(name):
         for gen_pos in reversed(word):
             rebuilt = spec.key_mul_plain(spec.all_gens[gen_pos], rebuilt)
         assert rebuilt == key
+
+
+# ---------------------------------------------------------------------------
+# the per-key table against the two-length test
+
+
+def _descent_specs():
+    from hecke_functor.acceptance import _kernel_fixtures
+    specs = {name: spec for spec, name in _kernel_fixtures()}
+    specs.update(RGROUP_SPECS)
+    return specs
+
+
+DESCENT_SPECS = _descent_specs()
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_SPECS))
+def test_descent_table_matches_the_two_length_test(name):
+    from hecke_functor.acceptance import _keys_up_to_length
+    spec = DESCENT_SPECS[name]
+    ident = spec.r_identity
+    by_len = _keys_up_to_length(spec, 6)
+    assert sorted(by_len) == list(range(7))
+    for length, keys in by_len.items():
+        for a in keys:
+            # the first generator s, in all_gens order, with l(s a) < l(a),
+            # s a formed by the matrix product
+            expected = (length, None, None)
+            for gen_pos, gen in enumerate(spec.all_gens):
+                sa = spec.key_mul_plain(gen, a)
+                if spec.key_length((sa[0], sa[1], ident)) < length:
+                    expected = (length, gen_pos, sa)
+                    break
+            assert spec.key_info(a) == expected
+            if length:
+                assert spec.key_length((sa[0], sa[1], ident)) == length - 1
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_right_multiplication_by_a_generator_matches_the_matrix(name):
+    spec = HeckeSpec({"A2": A2, "C2": C2}[name])
+    for a in all_keys_up_to_length(spec, 3):
+        for gen_pos, gen in enumerate(spec.all_gens):
+            assert spec.key_mul_gen(a, gen_pos) == spec.key_mul_plain(a, gen)
+
+
+def test_basis_product_is_the_product_of_basis_elements():
+    spec = HeckeSpec(C2, labels=2)
+    keys = all_keys_up_to_length(spec, 2)
+    for a, b in itertools.product(keys, repeat=2):
+        product = basis_product(spec, a, b)
+        assert isinstance(product, HeckeElement)
+        assert product == mul_im(spec, spec.basis(*a), spec.basis(*b))

@@ -5,7 +5,7 @@ import pytest
 
 from hecke_functor import intlattice as il
 from hecke_functor.rootdata import (
-    RootDatumError, build_classical, torus_datum,
+    RootDatumError, build_classical, direct_sum, torus_datum,
 )
 from hecke_functor.weyl import (
     Eig, ExtAffineElt, WeylGroup, enumerate_weyl, length, omega_subgroup,
@@ -215,6 +215,83 @@ def test_length_formula_matches_bfs(datum):
             assert length(ExtAffineElt(x, group.element(wi)), datum) == d
             checked += 1
     assert checked > 10
+
+
+# ---------------------------------------------------------------------------
+# the root and inversion rows against the matrices
+
+# every family of rank <= 3 in both isogenies, GL2-3 and one direct sum
+ROW_DATA = {f"{family}{n} {iso}": build_classical(family, n, iso)
+            for family, ranks in (("A", (1, 2, 3)), ("B", (2, 3)), ("C", (2, 3)), ("D", (3,)))
+            for n in ranks for iso in ("sc", "ad")}
+ROW_DATA.update({"GL2": build_classical("GL", 2), "GL3": GL3,
+                 "A1 sc + B2 ad": direct_sum(A1SC, build_classical("B", 2, "ad"))})
+
+
+def _negative_under_inverse(datum, m):
+    """For each positive root a (in positive_root_indices order): 1 if the
+    inverse of the matrix m sends a to a negative root, else 0."""
+    positive = datum.positive_root_indices()
+    m_inv = il.inverse_unimodular(m)
+    return tuple(0 if datum.root_index(il.mat_vec(m_inv, datum.roots[i])) in positive else 1
+                 for i in positive)
+
+
+def _matrix_length(datum, m, x):
+    """l(t_x w) for the matrix m of w, under LENGTH_POLICY, on matrices only."""
+    positive = datum.positive_root_indices()
+    m_inv = il.inverse_unimodular(m)
+    total = 0
+    for i in positive:
+        k = datum.pairing(x, datum.coroots[i])
+        if datum.root_index(il.mat_vec(m_inv, datum.roots[i])) in positive:
+            total += abs(k)
+        else:
+            total += abs(k - 1)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DATA))
+def test_root_and_inversion_rows_match_the_matrices(name):
+    datum = ROW_DATA[name]
+    group = WeylGroup(datum)
+    for i, m in enumerate(group.matrices):
+        row = group.row(i)
+        assert [datum.roots[k] for k in row] == [il.mat_vec(m, alpha) for alpha in datum.roots]
+        assert group.inversions(i) == _negative_under_inverse(datum, m)
+        # the inversion row of w has l(w) flags
+        assert sum(group.inversions(i)) == len(group.words[i])
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DATA))
+def test_length_by_rows_matches_the_matrix_formula(name):
+    from hecke_functor.weyl import _length_indexed
+    datum = ROW_DATA[name]
+    group = WeylGroup.build(datum)
+    box = range(-2, 3) if datum.rank <= 2 else range(-1, 2)
+    for x in itertools.product(box, repeat=datum.rank):
+        for i, m in enumerate(group.matrices):
+            assert _length_indexed(group, x, i) == _matrix_length(datum, m, x)
+
+
+def test_one_length_request_builds_rows_only_along_its_word(capsys):
+    import json
+    import hecke_functor.weyl as weyl_mod
+    from hecke_functor.cli import main
+    weyl_mod._build_group.cache_clear()
+    word = [0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 0]
+    assert main(["weyl", "length", "--in", "datum:a7sc", "--element",
+                 json.dumps({"t": [1, -2, 0, 3, 0, 0, -1], "w_word": word})]) == 0
+    length_out = json.loads(capsys.readouterr().out)["length"]
+    group = WeylGroup.build(build_classical("A", 7, "sc"))
+    wi = group.index_of_word(word)
+    assert group.order == 40320 and len(group.datum.roots) == 56
+    # the identity's row and one per letter of the reduced word, no more
+    assert len(group._rows) <= len(group.words[wi]) + 1
+    assert list(group._inversions) == [wi]
+    assert length_out == _matrix_length(group.datum, group.matrices[wi],
+                                        (1, -2, 0, 3, 0, 0, -1))
+    weyl_mod._build_group.cache_clear()     # let the 40 320 matrices go
 
 
 # ---------------------------------------------------------------------------
