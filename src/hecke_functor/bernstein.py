@@ -42,7 +42,7 @@ class BernElement(Combination):
 
 
 def bern_basis(spec: HeckeSpec, x: tuple[int, ...], wi: int) -> BernElement:
-    return BernElement(spec, {(tuple(x), wi): LaurentPoly.constant(spec.zvars, 1)})
+    return BernElement(spec, {(tuple(x), wi): spec.one_poly()})
 
 
 def _finite_append_s(spec: HeckeSpec, terms: dict, simple_pos: int) -> dict:
@@ -61,10 +61,7 @@ def _finite_append_s(spec: HeckeSpec, terms: dict, simple_pos: int) -> dict:
 def _move_through(spec: HeckeSpec, wi: int, y: tuple[int, ...]
                   ) -> dict[tuple[tuple[int, ...], int], LaurentPoly]:
     """T_w theta_y as a Bernstein-normal-form dict (memoized per spec)."""
-    memo = getattr(spec, "_bern_move_memo", None)
-    if memo is None:
-        memo = {}
-        spec._bern_move_memo = memo
+    memo = spec._bern_move_memo
     got = memo.get((wi, y))
     if got is not None:
         return got
@@ -78,7 +75,7 @@ def _move_through_raw(spec: HeckeSpec, wi: int, y: tuple[int, ...]
     group = spec.weyl
     word = group.words[wi]
     if not word:
-        return {(y, 0): LaurentPoly.constant(spec.zvars, 1)}
+        return {(y, 0): spec.one_poly()}
     s = word[-1]
     w1 = group.right_mult[wi][s]
     root_idx = spec.datum.simples[s]
@@ -108,10 +105,7 @@ def mul_bernstein(spec: HeckeSpec, a: BernElement, b: BernElement) -> BernElemen
 
 def bern_to_im(spec: HeckeSpec, e: BernElement) -> HeckeElement:
     """Evaluate sum theta_x f T_w inside the length-presentation algebra."""
-    memo = getattr(spec, "_bern_basis_memo", None)
-    if memo is None:
-        memo = {}
-        spec._bern_basis_memo = memo
+    memo = spec._bern_basis_memo
     total = spec.zero()
     for (x, wi), p in e.terms.items():
         part = memo.get((x, wi))

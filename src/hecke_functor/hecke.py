@@ -160,13 +160,16 @@ class HeckeSpec(_SpecBase):
         self.labels = {i: (int(a), int(b)) for i, (a, b) in labels.items()}
         self.params = dict(params) if params is not None else self._default_params()
         self.zvars = tuple(sorted(set(self.params.values())))
-        self._one_terms = self.one_poly().terms
+        # the unit polynomial, shared (LaurentPoly is immutable)
+        self._one = LaurentPoly.constant(self.zvars, 1)
+        self._one_terms = self._one.terms
         self._validate()
         self._prepare_generators()
         self._mul_memo: dict[tuple[tuple, tuple], dict[Key, LaurentPoly]] = {}
         self._theta_memo: dict[tuple[int, ...], "HeckeElement"] = {}
-        self._inv_memo: dict[tuple[tuple[int, ...], int], "HeckeElement"] = {}
-        self._theta_base_memo: dict[tuple[int, int], "HeckeElement"] = {}
+        # bernstein.py: T_w theta_y per (w, y), and theta_x T_w per (x, w)
+        self._bern_move_memo: dict[tuple[int, tuple[int, ...]], dict] = {}
+        self._bern_basis_memo: dict[tuple[tuple[int, ...], int], "HeckeElement"] = {}
         # (x, w) -> (length, first left descent, s (x, w)); see key_info
         self._key_table: dict[tuple[tuple[int, ...], int],
                               tuple[int, int | None, tuple | None]] = {}
@@ -324,7 +327,7 @@ class HeckeSpec(_SpecBase):
         return HeckeElement(self, {})
 
     def one_poly(self) -> LaurentPoly:
-        return LaurentPoly.constant(self.zvars, 1)
+        return self._one
 
     def unit(self) -> "HeckeElement":
         return self.basis((0,) * self.datum.rank, 0, self.r_identity)
@@ -603,45 +606,16 @@ def _dominant_shift(spec: HeckeSpec, vectors) -> tuple[int, ...]:
     return tuple(need * b for b in two_rho)
 
 
-def _n_inverse_of_key(spec: HeckeSpec, key: tuple[tuple[int, ...], int]) -> HeckeElement:
-    """Inverse of a single basis element N_{t_x w} (R-part trivial)."""
-    got = spec._inv_memo.get(key)
-    if got is not None:
-        return got
-    word, omega = spec.factorize(key)
-    omega_inv = spec.key_inv_plain(omega)
-    out = spec.basis(omega_inv[0], omega_inv[1])
-    # key = g_1 ... g_k omega, so the inverse is N_omega^-1 g_k^-1 ... g_1^-1
-    for gen_pos in reversed(word):
-        gen = spec.all_gens[gen_pos]
-        n_s = spec.basis(gen[0], gen[1])
-        inv_s = n_s - spec.unit().scale(spec.gen_deform[gen_pos])
-        out = mul_im(spec, out, inv_s)
-    spec._inv_memo[key] = out
-    return out
-
-
-def _theta_base(spec: HeckeSpec, i: int, step: int) -> HeckeElement:
-    """theta of +-e_i, built once through a short dominant split."""
-    key = (i, step)
-    memo = spec._theta_base_memo
-    got = memo.get(key)
-    if got is None:
-        e_i = tuple(step if j == i else 0 for j in range(spec.datum.rank))
-        minus = _dominant_shift(spec, [e_i])
-        got = spec.basis(tuple(a + b for a, b in zip(e_i, minus)), 0)
-        if any(minus):
-            got = mul_im(spec, got, _n_inverse_of_key(spec, (minus, 0)))
-        memo[key] = got
-    return got
-
-
 def theta(spec: HeckeSpec, x: tuple[int, ...]) -> HeckeElement:
     """The commuting family theta_x: theta_x theta_y = theta_{x+y},
     theta_x = N_{t_x} for dominant x.
 
-    Built up one lattice coordinate at a time, so no long inverse chains
-    appear even far from the dominant cone."""
+    theta_x = N_{t_{x+D}} N_{t_D}^-1 for the dominant shift D (a multiple of
+    2 rho, so x + D and D are dominant).  With t_D = g_1 ... g_k omega,
+    N_{t_D}^-1 = N_omega^-1 N_{g_k}^-1 ... N_{g_1}^-1, and each
+    N_g^-1 = N_g - (z(g) - z(g)^-1) is peeled off on the right, one term at a
+    time: N_a N_g^-1 is N_{ag} when l(ag) < l(a) and N_{ag} - (z - z^-1) N_a
+    otherwise.  No inverse element is built."""
     x = tuple(x)
     if len(x) != spec.datum.rank:
         raise HeckeError("translation has wrong rank")
@@ -649,13 +623,22 @@ def theta(spec: HeckeSpec, x: tuple[int, ...]) -> HeckeElement:
     got = memo.get(x)
     if got is not None:
         return got
-    if spec.datum.is_dominant(x):
-        result = spec.basis(x, 0)
-    else:
-        i = next(j for j, v in enumerate(x) if v)
-        step = 1 if x[i] > 0 else -1
-        rest = tuple(v - step if j == i else v for j, v in enumerate(x))
-        result = mul_im(spec, theta(spec, rest), _theta_base(spec, i, step))
+    shift = _dominant_shift(spec, [x])
+    word, omega = spec.factorize((shift, 0))
+    start = spec.key_mul_plain((tuple(a + b for a, b in zip(x, shift)), 0),
+                               spec.key_inv_plain(omega))
+    terms: dict[tuple[tuple[int, ...], int], LaurentPoly] = {start: spec.one_poly()}
+    for gen_pos in reversed(word):
+        minus_deform = -spec.gen_deform[gen_pos]
+        out: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
+        for a, c in terms.items():
+            a_g = spec.key_mul_gen(a, gen_pos)
+            _add_into(out, a_g, c)
+            if spec.key_info(a_g)[0] > spec.key_info(a)[0]:
+                _add_into(out, a, c * minus_deform)
+        terms = out
+    ident = spec.r_identity
+    result = HeckeElement._wrap(spec, {(a[0], a[1], ident): c for a, c in terms.items()})
     memo[x] = result
     return result
 

@@ -104,6 +104,15 @@ def test_hecke_center_check(capsys):
     assert data["central"] is False
 
 
+@pytest.mark.parametrize("datum", ["b3ad", "a3ad"])
+def test_hecke_center_check_of_rank_three_adjoint_data(datum, capsys):
+    # the check builds theta of every coordinate vector, which lies far from
+    # the dominant cone in adjoint rank 3
+    data = run_json(["hecke", "center-check", "--spec", f"datum:{datum}", "--a", "[]"],
+                    capsys)
+    assert data["central"] is True
+
+
 def test_hecke_ad_xg(capsys):
     data = run_json(["hecke", "ad-xg", "--spec", "datum:a1ad", "--xg", "1/2",
                      "--a", _elt([0], [0])], capsys)

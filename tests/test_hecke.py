@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hecke_functor import intlattice as il
 from hecke_functor.numkernel import Cyclo, LaurentPoly, cyclo_root_of_unity
@@ -11,8 +12,8 @@ from hecke_functor.rootdata import build_classical, direct_sum
 from hecke_functor.bernstein import BernElement, bern_basis, bern_to_im, mul_bernstein
 from hecke_functor.hecke import (
     GradedElement, GradedSpec, HeckeElement, HeckeError, HeckeSpec, _basis_mul_plain,
-    ad_xg, alpha_g_twist, basis_product, blz_check, graded_mul, hom_from_big,
-    intermediate_algebra, is_central, mul_im, theta,
+    _dominant_shift, ad_xg, alpha_g_twist, basis_product, blz_check, graded_mul,
+    hom_from_big, intermediate_algebra, is_central, mul_im, theta,
 )
 
 A1 = build_classical("A", 1, "sc")
@@ -915,3 +916,129 @@ def test_basis_product_is_the_product_of_basis_elements():
         product = basis_product(spec, a, b)
         assert isinstance(product, HeckeElement)
         assert product == mul_im(spec, spec.basis(*a), spec.basis(*b))
+
+
+# ---------------------------------------------------------------------------
+# theta by peeling N_{t_D}^-1 against the inverse-element construction
+
+
+def _n_inverse_by_mul_im(spec, key, inverses):
+    """N_key^-1 as an element, one mul_im per inverse generator, memoised in
+    inverses."""
+    got = inverses.get(key)
+    if got is None:
+        word, omega = spec.factorize(key)
+        got = spec.basis(*spec.key_inv_plain(omega))
+        for gen_pos in reversed(word):
+            n_g = spec.basis(*spec.all_gens[gen_pos])
+            got = mul_im(spec, got, n_g - spec.unit().scale(spec.gen_deform[gen_pos]))
+        inverses[key] = got
+    return got
+
+
+def _theta_by_inverse_elements(spec, x, inverses):
+    """theta_x built one coordinate step at a time: theta_{+-e_i} is
+    N_{t_{+-e_i + D}} times the element N_{t_D}^-1 for the least dominant
+    shift D of +-e_i."""
+    rank = spec.datum.rank
+    out = spec.unit()
+    for i, v in enumerate(x):
+        e = tuple((1 if v > 0 else -1) if j == i else 0 for j in range(rank))
+        shift = _dominant_shift(spec, [e])
+        step = mul_im(spec, spec.basis(tuple(a + b for a, b in zip(e, shift)), 0),
+                      _n_inverse_by_mul_im(spec, (shift, 0), inverses))
+        for _ in range(abs(v)):
+            out = mul_im(spec, out, step)
+    return out
+
+
+def _theta_oracle_specs():
+    datum, flip = _doubled_a1_with_flip()
+    b2ad = build_classical("B", 2, "ad")
+    c2ad = build_classical("C", 2, "ad")
+    a2ad = build_classical("A", 2, "ad")
+    specs = {
+        "A1 sc": HeckeSpec(A1), "A1 ad": HeckeSpec(A1AD),
+        "A2 sc": HeckeSpec(A2), "A2 ad": HeckeSpec(a2ad),
+        "A2 ad label 2": HeckeSpec(a2ad, labels=2), "B2 ad": HeckeSpec(b2ad),
+        "C2 sc": HeckeSpec(C2), "C2 sc label 2": HeckeSpec(C2, labels=2),
+        "C2 ad": HeckeSpec(c2ad), "C2 ad label 2": HeckeSpec(c2ad, labels=2),
+        "GL2": HeckeSpec(build_classical("GL", 2)),
+        "A1 + A1 with the flip": HeckeSpec(datum, rgroup=flip),
+        "A1 + A1, two parameters": HeckeSpec(datum),
+    }
+    # the points compared: [-1, 1]^r on the direct sums, [-2, 2]^r elsewhere
+    return {name: (spec, 1 if "+" in name else 2) for name, spec in specs.items()}
+
+
+THETA_ORACLE_SPECS = _theta_oracle_specs()
+
+
+@pytest.mark.parametrize("name", sorted(THETA_ORACLE_SPECS))
+def test_theta_matches_the_inverse_element_construction(name):
+    spec, bound = THETA_ORACLE_SPECS[name]
+    if "two parameters" in name:
+        assert spec.zvars == ("z1", "z2")
+    inverses = {}
+    for x in itertools.product(range(-bound, bound + 1), repeat=spec.datum.rank):
+        assert theta(spec, x) == _theta_by_inverse_elements(spec, x, inverses), x
+
+
+# classical data of rank <= 3 in both isogenies, B3 ad among them: there the
+# inverse-element construction of theta ran for minutes
+THETA_PROPERTY_DATA = sorted(
+    [(family, n, isogeny) for family, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                            ("B", 3), ("C", 2), ("C", 3)]
+     for isogeny in ("sc", "ad")] + [("GL", 2, None), ("GL", 3, None)])
+
+
+@functools.cache
+def _property_spec(key):
+    return HeckeSpec(build_classical(*key))
+
+
+@st.composite
+def _datum_and_points(draw, count):
+    """A datum and count lattice points: coordinates in [-2, 2] in rank <= 2;
+    in rank 3, where the products of two thetas grow fast, 0 or +-e_i."""
+    key = draw(st.sampled_from(THETA_PROPERTY_DATA))
+    rank = key[1]
+    if rank <= 2:
+        point = st.tuples(*[st.integers(-2, 2)] * rank)
+    else:
+        point = st.sampled_from([(0,) * rank] + [
+            tuple(sign if j == i else 0 for j in range(rank))
+            for i in range(rank) for sign in (1, -1)])
+    return key, [draw(point) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_datum_and_points(2))
+@example((("B", 3, "ad"), [(0, 1, 0), (-1, 0, 0)]))
+@example((("C", 3, "ad"), [(0, 0, -1), (0, -1, 0)]))
+def test_theta_is_additive(case):
+    key, (x, y) = case
+    spec = _property_spec(key)
+    xy = tuple(a + b for a, b in zip(x, y))
+    assert mul_im(spec, theta(spec, x), theta(spec, y)) == theta(spec, xy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_datum_and_points(1))
+@example((("B", 3, "ad"), [(0, -1, 0)]))
+def test_theta_of_minus_x_is_the_inverse(case):
+    key, (x,) = case
+    spec = _property_spec(key)
+    minus = tuple(-v for v in x)
+    assert mul_im(spec, theta(spec, x), theta(spec, minus)) == spec.unit()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_datum_and_points(1))
+@example((("B", 3, "ad"), [(0, -1, 1)]))
+def test_theta_of_a_dominant_point_is_its_translation(case):
+    key, (x,) = case
+    spec = _property_spec(key)
+    dominant = tuple(a + b for a, b in zip(x, _dominant_shift(spec, [x])))
+    assert spec.datum.is_dominant(dominant)
+    assert theta(spec, dominant) == spec.basis(dominant, 0)
