@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .numkernel import Cyclo, cyclo_root_of_unity
@@ -38,7 +40,9 @@ class FiniteGroup:
     """A finite group as an explicit multiplication table.
 
     `table[i][j]` is the index of the product of elements i and j; marked
-    subgroups are named frozen sets of element indices.
+    subgroups are named frozen sets of element indices.  A group is frozen:
+    its table and its marks are fixed in `__init__`, so whatever is computed
+    from an instance (its irreducible characters) stays valid for it.
     """
 
     def __init__(self, table: Sequence[Sequence[int]],
@@ -56,14 +60,18 @@ class FiniteGroup:
                 raise FinRepError("malformed multiplication table")
         self.identity = self._find_identity()
         try:
-            self._inverse = [row.index(self.identity) for row in self.table]
+            self._inverse = tuple(row.index(self.identity) for row in self.table)
         except ValueError:
             raise FinRepError("an element has no inverse") from None
         self._check_group()
-        self.names = list(names) if names else [f"g{i}" for i in range(n)]
-        self.marked_subgroups: dict[str, frozenset[int]] = {}
-        for key, elems in (marked_subgroups or {}).items():
-            self.mark_subgroup(key, elems)
+        self.names = tuple(names) if names else tuple(f"g{i}" for i in range(n))
+        marks = {}
+        for name, elems in (marked_subgroups or {}).items():
+            elems = frozenset(elems)
+            if any(self.table[a][b] not in elems for a in elems for b in elems):
+                raise FinRepError(f"marked subset {name!r} is not closed")
+            marks[name] = elems
+        self.marked_subgroups: Mapping[str, frozenset[int]] = MappingProxyType(marks)
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -142,14 +150,6 @@ class FiniteGroup:
                         new.append(b)
             frontier = new
         return frozenset(out)
-
-    def mark_subgroup(self, name: str, elems: Iterable[int]) -> None:
-        elems = frozenset(elems)
-        for a in elems:
-            for b in elems:
-                if self.mul(a, b) not in elems:
-                    raise FinRepError(f"marked subset {name!r} is not closed")
-        self.marked_subgroups[name] = elems
 
     def is_normal(self, elems: frozenset[int]) -> bool:
         return all(self.conj(g, a) in elems for g in range(self.order) for a in elems)
@@ -346,16 +346,24 @@ def restrict(rho: RepOrChar, subgroup: Iterable[int],
 
 
 def irreducibles(group: FiniteGroup) -> list[RepOrChar]:
-    """All irreducible characters; complete and pairwise distinct."""
-    if group.order > GROUP_SIZE_GUARD:
-        raise FinRepError("group larger than the desk guard")
+    """All irreducible characters; complete and pairwise distinct.
+
+    Computed once per group instance: a group is frozen, and its characters
+    carry it, so two groups with one table keep their own characters."""
+    return list(_irreducibles(group))
+
+
+@lru_cache(maxsize=256)
+def _irreducibles(group: FiniteGroup) -> tuple[RepOrChar, ...]:
+    # keyed on the instance (FiniteGroup compares by identity); bounded,
+    # since groups read from JSON are unbounded in number
     if group.is_abelian():
         chars = _abelian_characters(group)
     else:
         chars = _dixon_characters(group)
     # sanity: sum of squares of degrees
     assert sum(c.degree ** 2 for c in chars) == group.order
-    return chars
+    return tuple(chars)
 
 
 def _abelian_characters(group: FiniteGroup) -> list[RepOrChar]:

@@ -32,8 +32,8 @@ from .lparam import (
 )
 from .numkernel import Cyclo
 from .rootdata import (
-    BasedRootDatum, Factorization, RDMorphism, build_classical, direct_sum,
-    factorize_condition1, is_condition1, torus_datum,
+    BasedRootDatum, Factorization, RDMorphism, _valid_by_construction,
+    build_classical, direct_sum, factorize_condition1, is_condition1, torus_datum,
 )
 from .weyl import Eig
 
@@ -74,8 +74,10 @@ def tag_root_datum(tag: GroupTag) -> BasedRootDatum:
 @lru_cache(maxsize=256)
 def _tag_root_datum(factors: tuple[tuple[str, int], ...]) -> BasedRootDatum:
     # the datum depends on the factors only, not on the labels zeta; bounded,
-    # since torus ranks read from JSON have no upper limit
-    return direct_sum(*[_factor_datum(kind, n) for kind, n in factors])
+    # since torus ranks read from JSON have no upper limit.  A sum of
+    # classical data and tori is valid by construction
+    return _valid_by_construction(
+        direct_sum(*[_factor_datum(kind, n) for kind, n in factors]))
 
 
 def _sl_gl_char_matrix(n: int):

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 RGROUP_SIZE_GUARD = 8
+# the longest basis key an element read from JSON may carry: a product
+# recurses once per unit of its right factor's length (_basis_mul_plain), so
+# a longer key would exhaust the interpreter's recursion limit
+KEY_LENGTH_GUARD = 256
 
 
 class HeckeError(ValueError):
@@ -66,7 +70,7 @@ class _SpecBase:
     def __init__(self, datum: BasedRootDatum, rgroup: list[IntMatrix] | None,
                  cocycle: Mapping[tuple[int, int], Cyclo] | None):
         self.datum = datum
-        self.weyl = WeylGroup.build(datum)      # validates the datum
+        self.weyl = WeylGroup.build(datum)      # validates a datum from outside
         self.components = datum.components()
         # simple-root index -> position of its component
         self.component_of = {i: c for c, comp in enumerate(self.components) for i in comp}
@@ -512,6 +516,8 @@ class HeckeElement(Combination):
             if type(r) is not int or not 0 <= r < len(spec.rgroup):
                 raise HeckeError(f"r must be an R-group index below {len(spec.rgroup)}")
             key = (tuple(t), spec.weyl.index_of_word(key_data.get("w_word")), r)
+            if _length_indexed(spec.weyl, key[0], key[1]) > KEY_LENGTH_GUARD:
+                raise HeckeError(f"a basis key longer than {KEY_LENGTH_GUARD}")
             poly = LaurentPoly.from_json(poly_data)
             if poly.vars != spec.zvars:
                 raise HeckeError(f"a coefficient must be a polynomial in {list(spec.zvars)}, "

@@ -164,36 +164,32 @@ class ComponentGroupResult:
       SL_n(C)'s) and "S_phi_lift" (components meeting the on-the-nose
       stabilizer, i.e. the image of the component group of a GL-lift);
     * `pair_data[i]` gives the per-factor (w, lambda) pairs of element i.
+
+    A direct product of the factors' pair groups: element i is a tuple of
+    one pair index per factor, multiplied factor by factor.
     """
 
-    def __init__(self, tag: GroupTag, phi: ToyParameter,
-                 factor_components: list[FactorComponents]):
-        self.tag = tag
-        self.phi = phi
-        self.factors = factor_components
-        sizes = [fc.size for fc in factor_components]
-        elements = list(itertools.product(*[range(s) for s in sizes]))
+    def __init__(self, factor_components: Sequence[FactorComponents]):
+        self.factors = tuple(factor_components)
+        sizes = [fc.size for fc in self.factors]
+        elements = tuple(itertools.product(*[range(s) for s in sizes]))
         index = {e: i for i, e in enumerate(elements)}
         self.elements = elements
-
-        def mul(a, b):
-            out = []
-            for fa, fb, fc in zip(a, b, factor_components):
-                wa, la = fc.pairs[fa]
-                wb, lb = fc.pairs[fb]
-                wc = tuple(wa[wb[i]] for i in range(len(wa)))
-                out.append(next(k for k, (w, _) in enumerate(fc.pairs) if w == wc))
-            return tuple(out)
-
-        table = [[index[mul(a, b)] for b in elements] for a in elements]
-        self.group = FiniteGroup(table)
+        # per factor: the product table of its pair indices, through the
+        # permutation parts (they determine the pair)
+        factor_tables, unit = [], []
+        for fc in self.factors:
+            position = {w: k for k, (w, _) in enumerate(fc.pairs)}
+            factor_tables.append([[position[tuple(wa[i] for i in wb)]
+                                   for wb, _ in fc.pairs] for wa, _ in fc.pairs])
+            unit.append(position[tuple(range(len(fc.pairs[0][0])))])
+        table = [[index[tuple(t[x][y] for t, x, y in zip(factor_tables, a, b))]
+                  for b in elements] for a in elements]
         # center image: scalar matrices sit in the identity component
-        self.group.mark_subgroup("Z_phi", {self.group.identity})
-        lift = []
-        for i, e in enumerate(elements):
-            if all(fc.pairs[fi][1].is_one() for fi, fc in zip(e, factor_components)):
-                lift.append(i)
-        self.group.mark_subgroup("S_phi_lift", lift)
+        lift = [i for i, e in enumerate(elements)
+                if all(fc.pairs[fi][1].is_one() for fi, fc in zip(e, self.factors))]
+        self.group = FiniteGroup(table, {"Z_phi": [index[tuple(unit)]],
+                                         "S_phi_lift": lift})
 
     @property
     def order(self) -> int:
@@ -328,17 +324,27 @@ def component_group(tag: GroupTag, phi: ToyParameter) -> ComponentGroupResult:
 
     GL/PGL factors contribute trivially (their on-the-nose stabilizer
     inside SL_n(C) is a connected block group); SL factors contribute the
-    cyclic group of (w, lambda) pairs; tori contribute trivially.
+    cyclic group of (w, lambda) pairs; tori contribute trivially.  Built
+    once per (factors, phi): the result and its group are frozen, so every
+    caller shares one, with one character table.
     """
     if len(phi.factors) != len(tag.factors):
         raise LParamError("parameter does not match the tag")
+    return _component_group(tag.factors, phi)
+
+
+@lru_cache(maxsize=256)
+def _component_group(factors: tuple[tuple[str, int], ...],
+                     phi: ToyParameter) -> ComponentGroupResult:
+    # the labels zeta do not enter; bounded, since parameters read from
+    # JSON are unbounded in number
     comps = []
-    for (kind, n), eigs in zip(tag.factors, phi.factors):
+    for (kind, n), eigs in zip(factors, phi.factors):
         if kind == "SL":
             comps.append(_sl_factor_components(tuple(eigs)))
         else:
             comps.append(_trivial_factor_components(kind, n))
-    return ComponentGroupResult(tag, phi, comps)
+    return ComponentGroupResult(comps)
 
 
 # ---------------------------------------------------------------------------

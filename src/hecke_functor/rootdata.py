@@ -187,6 +187,13 @@ class BasedRootDatum:
             if not (all(x >= 0 for x in num) or all(x <= 0 for x in num)):
                 raise RootDatumError(f"root {i} has mixed signs on the simples")
 
+    def ensure_valid(self) -> None:
+        """validate(), unless the library built this datum valid by
+        construction (`_valid_by_construction`): data from JSON or from a
+        user are checked, the classical data and the tags' sums are not."""
+        if not self.__dict__.get("_by_construction"):
+            self.validate()
+
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
@@ -247,6 +254,14 @@ def _coordinate_solver(basis: list[tuple[int, ...]], rank: int
     return tuple(pivots), columns, den
 
 
+def _valid_by_construction(datum: BasedRootDatum) -> BasedRootDatum:
+    """Mark a datum built from the classical construction or from such data,
+    so that `ensure_valid` skips its validation.  The mark is not a field:
+    equality and hashing ignore it."""
+    object.__setattr__(datum, "_by_construction", True)
+    return datum
+
+
 def _is_int_rows(rows, width: int) -> bool:
     """Is `rows` a JSON list of lists of `width` integers each?"""
     return isinstance(rows, list) and all(
@@ -276,21 +291,23 @@ def _cartan_matrix(family: str, n: int) -> list[list[int]]:
 
 
 def _close_under_reflections(datum: BasedRootDatum) -> BasedRootDatum:
-    """Orbit closure of the (root, coroot) pairs under the simple reflections."""
-    pairs = {(datum.roots[i], datum.coroots[i]) for i in datum.simples}
-    changed = True
-    while changed:
-        changed = False
-        for alpha, alpha_v in list(pairs):
-            for i in datum.simples:
-                beta, beta_v = datum.roots[i], datum.coroots[i]
+    """Orbit closure of the (root, coroot) pairs under the simple reflections,
+    breadth-first: each pair found is reflected once by each simple root."""
+    simple = [(datum.roots[i], datum.coroots[i]) for i in datum.simples]
+    pairs = set(simple)
+    frontier = list(pairs)
+    while frontier:
+        found = []
+        for alpha, alpha_v in frontier:
+            for beta, beta_v in simple:
                 k = sum(a * b for a, b in zip(alpha, beta_v))
-                new_root = tuple(a - k * b for a, b in zip(alpha, beta))
                 k2 = sum(a * b for a, b in zip(beta, alpha_v))
-                new_coroot = tuple(a - k2 * b for a, b in zip(alpha_v, beta_v))
-                if (new_root, new_coroot) not in pairs:
-                    pairs.add((new_root, new_coroot))
-                    changed = True
+                pair = (tuple(a - k * b for a, b in zip(alpha, beta)),
+                        tuple(a - k2 * b for a, b in zip(alpha_v, beta_v)))
+                if pair not in pairs:
+                    pairs.add(pair)
+                    found.append(pair)
+        frontier = found
     ordered = sorted(pairs)
     roots = tuple(p[0] for p in ordered)
     coroots = tuple(p[1] for p in ordered)
@@ -313,9 +330,10 @@ def build_classical(family: str, n: int, isogeny: str | None = None) -> BasedRoo
 
 @lru_cache(maxsize=None)
 def _build_classical(family: str, n: int, isogeny: str | None) -> BasedRootDatum:
-    # one frozen datum per valid key, built and validated once per process
-    # (at most 72 keys are valid); errors are not cached, so a bad key raises
-    # on every call.  The public name stays a plain function.
+    # one frozen datum per valid key, built once per process (64 keys are
+    # valid) and valid by construction, so never validated; errors
+    # are not cached, so a bad key raises on every call.  The public name
+    # stays a plain function.
     if family == "GL":
         if not 1 <= n <= MAX_CLASSICAL_RANK:
             raise RootDatumError(f"unsupported rank {n} for GL")
@@ -334,7 +352,7 @@ def _build_classical(family: str, n: int, isogeny: str | None) -> BasedRootDatum
             v = [0] * n
             v[i], v[i + 1] = 1, -1
             simples.append(roots.index(tuple(v)))
-        return BasedRootDatum(n, roots, roots, tuple(simples))
+        return _valid_by_construction(BasedRootDatum(n, roots, roots, tuple(simples)))
 
     if family not in ("A", "B", "C", "D"):
         raise RootDatumError(f"unsupported family {family!r}")
@@ -354,9 +372,7 @@ def _build_classical(family: str, n: int, isogeny: str | None) -> BasedRootDatum
         simple_coroots = [tuple(m[i][j] for i in range(n)) for j in range(n)]
     seed = BasedRootDatum(n, tuple(simple_roots), tuple(simple_coroots),
                           tuple(range(n)))
-    datum = _close_under_reflections(seed)
-    datum.validate()
-    return datum
+    return _valid_by_construction(_close_under_reflections(seed))
 
 
 def torus_datum(r: int) -> BasedRootDatum:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import intlattice as il
 from .intlattice import IntMatrix
@@ -155,7 +156,8 @@ class WeylGroup:
 
     @classmethod
     def build(cls, datum: BasedRootDatum) -> "WeylGroup":
-        """The group of a datum, validated and enumerated once, then cached."""
+        """The group of a datum, validated (unless valid by construction) and
+        enumerated once, then cached."""
         return _build_group(datum)
 
     # -- element access -------------------------------------------------------
@@ -240,10 +242,11 @@ class WeylGroup:
 
 @lru_cache(maxsize=256)
 def _build_group(datum: BasedRootDatum) -> WeylGroup:
-    # bounded, since data read from JSON are unbounded; an invalid datum is
-    # refused before enumeration, whose reflections may generate an infinite
-    # group with exponentially growing entries
-    datum.validate()
+    # bounded, since data read from JSON are unbounded; a datum not valid by
+    # construction is validated, so an invalid one is refused before
+    # enumeration, whose reflections may generate an infinite group with
+    # exponentially growing entries
+    datum.ensure_valid()
     return WeylGroup(datum)
 
 
@@ -356,20 +359,6 @@ class Eig:
         return Eig(Fraction(0), Fraction(a, n))
 
 
-def _act_on_point(group: WeylGroup, wi: int, point: tuple[Eig, ...]) -> tuple[Eig, ...]:
-    # (w t)(x) = t(w^-1 x): additively, apply the transpose of w^-1
-    m = il.transpose(group.matrices[group.inv(wi)])
-    out = []
-    for row in m:
-        q = Fraction(0)
-        a = Fraction(0)
-        for c, e in zip(row, point):
-            q += c * e.q_exp
-            a += c * e.angle
-        out.append(Eig(q, a))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PointStabilizer:
     elements: tuple[WeylElt, ...]
@@ -398,15 +387,11 @@ def stabilizer_of_point(datum: BasedRootDatum, point: tuple[Eig, ...], *,
             raise RootDatumError(
                 f"projective stabilizer needs a rank-1 invariant sublattice, got rank {len(inv_dirs)}")
         inv_dir = inv_dirs[0]
-    members = []
-    for i in range(group.order):
-        moved = _act_on_point(group, i, point)
-        if inv_dir is None:
-            ok = moved == point
-        else:
-            ok = _differ_by_scalar(moved, point, inv_dir)
-        if ok:
-            members.append(i)
+    den, qs, angles = _integer_point(point)
+    # (w t)(x) = t(w^-1 x): additively, the transpose of w^-1 acts on the
+    # numerators
+    members = [i for i in range(group.order)
+               if _moves_within(group.matrices[group.inv(i)], den, qs, angles, inv_dir)]
     gens = _small_generating_set(group, members)
     return PointStabilizer(tuple(group.element(i) for i in members),
                            tuple(group.element(i) for i in gens))
@@ -423,19 +408,33 @@ def _invariant_directions(group: WeylGroup) -> list[tuple[int, ...]]:
     return il.kernel_basis(tuple(rows))
 
 
-def _differ_by_scalar(a: tuple[Eig, ...], b: tuple[Eig, ...], direction: tuple[int, ...]) -> bool:
-    """Is a = b * lambda^direction for a single scalar lambda?"""
-    pivot = next((k for k, d in enumerate(direction) if d != 0), None)
+def _integer_point(point: tuple[Eig, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(den, qs, angles): point[k] = q^(qs[k] / den) e^(2 pi i angles[k] / den)."""
+    den = lcm(*(f.denominator for e in point for f in (e.q_exp, e.angle)))
+    return (den, tuple(e.q_exp.numerator * (den // e.q_exp.denominator) for e in point),
+            tuple(e.angle.numerator * (den // e.angle.denominator) for e in point))
+
+
+def _moves_within(m: IntMatrix, den: int, qs: tuple[int, ...], angles: tuple[int, ...],
+                  direction: tuple[int, ...] | None) -> bool:
+    """Does the transpose of m send the point (den, qs, angles) to itself, or
+    with a direction to the point times lambda^direction for one scalar
+    lambda?  Angles are compared modulo den, all in integers."""
+    r = len(qs)
+    dq = [sum(m[k][j] * qs[k] for k in range(r)) - qs[j] for j in range(r)]
+    da = [sum(m[k][j] * angles[k] for k in range(r)) - angles[j] for j in range(r)]
+    pivot = next((k for k, d in enumerate(direction) if d), None) if direction else None
     if pivot is None:
-        return a == b
+        return not any(dq) and all(a % den == 0 for a in da)
     d0 = direction[pivot]
-    diff = a[pivot] / b[pivot]
-    # lambda^d0 = diff: |d0| candidate angles, one candidate q-exponent
-    for shift in range(abs(d0)):
-        cand = Eig(diff.q_exp / d0, (diff.angle + shift) / d0)
-        if all(y * cand ** d == x for x, y, d in zip(a, b, direction)):
-            return True
-    return False
+    # lambda = q^(dq[pivot] / (d0 den)) e^(2 pi i (rest + s den) / (d0 den)):
+    # one q-exponent and |d0| candidate angles
+    if any(x * d0 != d * dq[pivot] for x, d in zip(dq, direction)):
+        return False
+    rest, modulus = da[pivot] % den, d0 * den
+    return any(all((d * (rest + s * den) - d0 * a) % modulus == 0
+                   for a, d in zip(da, direction))
+               for s in range(abs(d0)))
 
 
 def _small_generating_set(group: WeylGroup, members: list[int]) -> list[int]:

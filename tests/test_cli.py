@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hecke_functor.cli import main
+from hecke_functor.hecke import KEY_LENGTH_GUARD
 from hecke_functor.numkernel import CONDUCTOR_GUARD
 
 
@@ -227,6 +228,25 @@ def test_conductor_outside_the_guard_is_refused(conductor, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("validation error")
     assert out == ""
+
+
+@pytest.mark.parametrize("t", [3000, 100000, KEY_LENGTH_GUARD + 1])
+def test_a_key_longer_than_the_guard_is_refused(t, capsys):
+    # N_s N_{t_x} on A1 recurses once per unit of l(t_x) = x
+    n_s = json.dumps([[{"t": [0], "w_word": [0]}, _ONE]])
+    n_t = json.dumps([[{"t": [t], "w_word": []}, _ONE]])
+    code, out, err = run_cli(["hecke", "mul", "--spec", "datum:a1sc", "--a", n_s,
+                              "--b", n_t], capsys)
+    assert code == 2 and out == ""
+    assert err == f"validation error: a basis key longer than {KEY_LENGTH_GUARD}\n"
+
+
+def test_a_key_at_the_guard_is_multiplied(capsys):
+    n_s = json.dumps([[{"t": [0], "w_word": [0]}, _ONE]])
+    n_t = json.dumps([[{"t": [KEY_LENGTH_GUARD], "w_word": []}, _ONE]])
+    data = run_json(["hecke", "mul", "--spec", "datum:a1sc", "--a", n_s, "--b", n_t], capsys)
+    # l(s t_x) = l(t_x) + 1, and s t_x = t_{-x} s
+    assert data["product"] == [[{"r": 0, "t": [-KEY_LENGTH_GUARD], "w_word": [0]}, _ONE]]
 
 
 def test_invalid_datum_is_refused_before_enumeration(capsys, monkeypatch):

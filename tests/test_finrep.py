@@ -93,6 +93,23 @@ def test_character_orthogonality():
             assert c.is_class_function()
 
 
+def test_characters_are_memoised_per_group_instance():
+    from hecke_functor import finrep
+    d4 = FiniteGroup.dihedral(4)
+    marked = FiniteGroup(d4.table, {"centre": sorted(d4.center())})
+    plain_chars, marked_chars = irreducibles(d4), irreducibles(marked)
+    # one table, two groups: each keeps characters that carry it
+    assert all(c.group is d4 for c in plain_chars)
+    assert all(c.group is marked for c in marked_chars)
+    assert [c.values for c in plain_chars] == [c.values for c in marked_chars]
+    assert [c.values for c in finrep._irreducibles.__wrapped__(d4)] == \
+        [c.values for c in plain_chars]
+    # a second call returns the same characters, in a list of its own
+    again = irreducibles(d4)
+    assert again == plain_chars and again is not plain_chars
+    assert all(a is b for a, b in zip(again, plain_chars))
+
+
 def test_alternating_group_has_cube_roots():
     # A4: degrees 1,1,1,3 with primitive cube roots of unity in the table
     import itertools as it
@@ -308,9 +325,10 @@ def test_induced_character_vanishes_off_subgroup_when_orbit_free():
 
 
 def test_group_json_round_trip():
-    g = FiniteGroup.dihedral(3)
-    g.mark_subgroup("rotations", [i for i in range(6)
-                                  if g.element_order(i) in (1, 3)])
+    d3 = FiniteGroup.dihedral(3)
+    # a group takes its marked subgroups when it is built, and keeps them
+    g = FiniteGroup(d3.table, {"rotations": [i for i in range(6)
+                                             if d3.element_order(i) in (1, 3)]})
     data = g.to_json()
     g2 = FiniteGroup.from_json(data)
     assert g2.table == g.table

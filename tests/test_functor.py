@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hecke_functor import functor, rootdata
+from hecke_functor import finrep, functor, lparam, rootdata
 from hecke_functor.finrep import FiniteGroup, RepOrChar, induce, irreducibles
 from hecke_functor.lparam import (
     GroupTag, ToyParameter, component_group, relevant_enhancements,
@@ -376,14 +377,93 @@ def test_warm_transitivity_chain_builds_nothing():
         q = compose(hom_sl_to_gl(n), hom_dual_automorphism(tag_gl))
         assert check_transitivity(f, q, phi_gl, rhos)
 
-    caches = (rootdata._build_classical, functor._tag_root_datum)
+    caches = (rootdata._build_classical, functor._tag_root_datum,
+              lparam._component_group, lparam._sl_factor_components,
+              finrep._irreducibles)
     chain()
     before = [c.cache_info() for c in caches]
     chain()
     after = [c.cache_info() for c in caches]
     for b, a in zip(before, after):
         assert a.misses == b.misses and a.currsize == b.currsize
-    assert after[1].hits > before[1].hits
+    for k in (1, 2, 4):                  # the sums, component groups, tables
+        assert after[k].hits > before[k].hits
+
+
+# ---------------------------------------------------------------------------
+# random chains, with the memos cold and then warm
+
+
+# name -> (domain kind, codomain kind); "+T" adds a rank-one torus factor
+_CATALOG = {
+    "sl_gl": ("SL", "GL"), "gl_pgl": ("GL", "PGL"), "sl_pgl": ("SL", "PGL"),
+    "ad_sl": ("SL", "SL"), "ad_gl": ("GL", "GL"), "ad_pgl": ("PGL", "PGL"),
+    "dual_gl": ("GL", "GL"), "torus_sl": ("SL", "SL+T"), "torus_gl": ("GL", "GL+T"),
+}
+_CHAINS = [(f, q) for f in _CATALOG for q in _CATALOG if _CATALOG[f][1] == _CATALOG[q][0]]
+
+
+def _hom(name, n, ad):
+    sl, gl, pgl = (GroupTag.single(k, n) for k in ("SL", "GL", "PGL"))
+    return {"sl_gl": lambda: hom_sl_to_gl(n), "gl_pgl": lambda: hom_gl_to_pgl(n),
+            "sl_pgl": lambda: hom_sl_to_pgl(n), "ad_sl": lambda: hom_ad(sl, [ad]),
+            "ad_gl": lambda: hom_ad(gl, [ad]), "ad_pgl": lambda: hom_ad(pgl, [ad]),
+            "dual_gl": lambda: hom_dual_automorphism(gl),
+            "torus_sl": lambda: hom_torus_insertion(sl, 1),
+            "torus_gl": lambda: hom_torus_insertion(gl, 1)}[name]()
+
+
+@st.composite
+def _chains(draw):
+    """A composable pair f: A -> B, q: B -> H and a multiplicity-free
+    parameter of H."""
+    n = draw(st.integers(2, 4))
+    f_name, q_name = draw(st.sampled_from(_CHAINS))
+    ad = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n).filter(any))
+    # n / m orbits of the m-th roots of unity, so S_phi of an SL_n factor is
+    # cyclic of order m: bases with angles below 1 / m keep the orbits apart
+    m = draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
+    bases = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2 * n // m - 1)),
+                          min_size=n // m, max_size=n // m, unique=True))
+    eigs = draw(st.permutations([Eig(Fraction(q, 2), Fraction(a, 2 * n) + Fraction(k, m))
+                                 for q, a in bases for k in range(m)]))
+    kind, _, torus = _CATALOG[q_name][1].partition("+")
+    if kind == "PGL":
+        # a common shift moves the list to determinant one on the nose
+        shift = Eig(-sum(e.q_exp for e in eigs) / n, -sum(e.angle for e in eigs) / n)
+        eigs = [e * shift for e in eigs]
+    f, q = _hom(f_name, n, ad), _hom(q_name, n, ad)
+    phi = ToyParameter.make(q.target, [eigs] + ([[Eig()]] if torus else []))
+    return f, q, phi
+
+
+def _pullback_round(f, q, phi):
+    """check_transitivity, and each enhancement's decomposition through the
+    composite with its multiplicity count."""
+    qf = compose(f, q)
+    rhos = relevant_enhancements(q.target, phi)
+    verdict = check_transitivity(f, q, phi, rhos)
+    index = (component_group(qf.source, lmap_param(qf, phi)).order
+             // component_group(q.target, phi).order)
+    out = []
+    for rho in rhos:
+        pieces = conjA_decompose(qf, phi, rho)
+        # multiplicity conservation: sum m deg rho~ = [S~ : S] deg rho
+        assert sum(m * r.degree for _, r, m in pieces) == index * rho.degree
+        out.append(sorted((repr(p.factors), repr(r.values), m) for p, r, m in pieces))
+    return verdict, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains())
+def test_random_chains_are_transitive_and_conserve_multiplicities(chain):
+    for cache in (functor._tag_root_datum, lparam._component_group,
+                  lparam._sl_factor_components, finrep._irreducibles):
+        cache.cache_clear()
+    cold = _pullback_round(*chain)
+    warm = _pullback_round(*chain)
+    assert cold[0] is True
+    assert warm == cold
 
 
 def test_ad_blocks_must_match_their_factors():

@@ -310,3 +310,52 @@ def test_sl_factor_components_are_memoised():
     assert info.maxsize is not None and info.currsize <= info.maxsize
     with pytest.raises(LParamError):
         cache((Eig(0, 0), Eig(0, 0)))
+
+
+def _memo_parameters():
+    for n in range(1, 7):
+        for kind in ("SL", "GL", "PGL")[:3 if n % 2 else 2]:
+            # the principal list has determinant one exactly for odd n
+            yield principal(n, kind)
+    # one tag, another list: a trivial group where the principal one is Z/4
+    yield sl_tag(4), ToyParameter.make(sl_tag(4), [[Eig(Fraction(k)) for k in range(4)]])
+    tag = GroupTag((("SL", 3), ("GL", 2), ("T", 1)), (0, 0, 0))
+    yield tag, ToyParameter.make(tag, [
+        [Eig.root_of_unity(k, 3) for k in range(3)],
+        [Eig(Fraction(1, 2)), Eig(Fraction(-1, 2), Fraction(1, 3))], [Eig()]])
+    tag = GroupTag((("SL", 2), ("SL", 4)), (1, 2))
+    yield tag, ToyParameter.make(tag, [
+        [Eig(), Eig(angle=Fraction(1, 2))],
+        [Eig(angle=Fraction(2 * k + 1, 8)) for k in range(4)]])
+
+
+def test_memoised_component_groups_match_uncached_builds():
+    from hecke_functor import finrep
+    for tag, phi in _memo_parameters():
+        res = component_group(tag, phi)
+        fresh = lparam._component_group.__wrapped__(tag.factors, phi)
+        assert res.elements == fresh.elements
+        assert res.group.table == fresh.group.table
+        assert dict(res.group.marked_subgroups) == dict(fresh.group.marked_subgroups)
+        assert [res.pair_data(i) for i in range(res.order)] == \
+            [fresh.pair_data(i) for i in range(fresh.order)]
+        # the labels zeta are not part of the key
+        assert component_group(GroupTag(tag.factors), phi) is res
+        chars = finrep.irreducibles(res.group)
+        fresh_chars = finrep._irreducibles.__wrapped__(fresh.group)
+        assert [c.values for c in chars] == [c.values for c in fresh_chars]
+        assert all(c.group is res.group for c in chars)
+        assert finrep.irreducibles(res.group) == chars
+        assert [c.values for c in relevant_enhancements(tag, phi)] == \
+            [c.values for c in relevant_enhancements(tag, phi, fresh)]
+    for cache in (lparam._component_group, finrep._irreducibles):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_component_group_marks_are_frozen():
+    res = component_group(*principal(4))
+    with pytest.raises(TypeError):
+        res.group.marked_subgroups["Z_phi"] = frozenset()
+    assert not hasattr(res.group, "mark_subgroup")
+    assert res.group.marked_subgroups["Z_phi"] == {res.group.identity}

@@ -97,6 +97,69 @@ def test_memoised_build_matches_a_fresh_build():
         assert build_classical(family, n, iso) is datum
 
 
+def _rescanning_closure(seed):
+    """The closure the breadth-first one replaced, kept as its reference:
+    every pair is reflected by every simple root, pass after pass, until a
+    whole pass adds nothing."""
+    pairs = {(seed.roots[i], seed.coroots[i]) for i in seed.simples}
+    changed = True
+    while changed:
+        changed = False
+        for alpha, alpha_v in list(pairs):
+            for i in seed.simples:
+                beta, beta_v = seed.roots[i], seed.coroots[i]
+                k = sum(a * b for a, b in zip(alpha, beta_v))
+                new_root = tuple(a - k * b for a, b in zip(alpha, beta))
+                k2 = sum(a * b for a, b in zip(beta, alpha_v))
+                new_coroot = tuple(a - k2 * b for a, b in zip(alpha_v, beta_v))
+                if (new_root, new_coroot) not in pairs:
+                    pairs.add((new_root, new_coroot))
+                    changed = True
+    ordered = sorted(pairs)
+    roots = tuple(p[0] for p in ordered)
+    simples = tuple(roots.index(seed.roots[i]) for i in seed.simples)
+    return BasedRootDatum(seed.rank, roots, tuple(p[1] for p in ordered), simples)
+
+
+ALL_CLASSICAL_KEYS = list(_classical_keys(rootdata.MAX_CLASSICAL_RANK))
+
+
+def test_every_classical_key_is_listed():
+    assert len(ALL_CLASSICAL_KEYS) == 64
+    for family, n in [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("GL", 0),
+                      ("A", rootdata.MAX_CLASSICAL_RANK + 1)]:
+        with pytest.raises(RootDatumError):
+            build_classical(family, n, "sc")
+
+
+def test_breadth_first_closure_matches_the_rescanning_closure():
+    for key in ALL_CLASSICAL_KEYS:
+        datum = build_classical(*key)
+        # the simple pairs alone, closed both ways, give the datum back
+        seed = BasedRootDatum(datum.rank, tuple(datum.roots[i] for i in datum.simples),
+                              tuple(datum.coroots[i] for i in datum.simples),
+                              tuple(range(len(datum.simples))))
+        closed = rootdata._close_under_reflections(seed)
+        assert closed == _rescanning_closure(seed) == datum, key
+        assert closed.simples == datum.simples
+
+
+def test_data_valid_by_construction_are_valid():
+    # the classical data and the sums the tags name skip validation before
+    # enumeration; here each one is validated outright
+    from hecke_functor.functor import tag_root_datum
+    from hecke_functor.lparam import GroupTag
+    for key in ALL_CLASSICAL_KEYS:
+        build_classical(*key).validate()
+    singles = [(kind, n) for kind in ("GL", "SL", "PGL") for n in range(1, 5)]
+    singles += [("T", 0), ("T", 1), ("T", 2)]
+    tags = [(f,) for f in singles]
+    tags += list(itertools.product(singles, repeat=2))
+    tags += [(("SL", 3), ("GL", 2), ("T", 1)), (("PGL", 4), ("SL", 2), ("GL", 3))]
+    for factors in tags:
+        tag_root_datum(GroupTag(factors)).validate()
+
+
 def _fraction_coeffs(datum, vec):
     """Coordinates of vec on the simple roots by a Fraction solve of the
     rank x k system, or None if it has no solution."""

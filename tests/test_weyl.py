@@ -104,6 +104,27 @@ def test_build_validates_and_enumerates_once(monkeypatch):
     assert weyl_mod._build_group.cache_info().maxsize is not None
 
 
+def test_only_data_from_outside_are_validated_before_enumeration(monkeypatch):
+    from hecke_functor.functor import tag_root_datum
+    from hecke_functor.lparam import GroupTag
+    from hecke_functor.rootdata import BasedRootDatum
+    import hecke_functor.weyl as weyl_mod
+    weyl_mod._build_group.cache_clear()
+    calls = []
+    validate = BasedRootDatum.validate
+    monkeypatch.setattr(BasedRootDatum, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    # valid by construction: a classical datum and a sum a tag names
+    WeylGroup.build(build_classical("B", 3, "ad"))
+    WeylGroup.build(tag_root_datum(GroupTag((("SL", 3), ("GL", 2), ("T", 1)))))
+    assert calls == []
+    # the same kind of sum, decoded from JSON, is validated once
+    outside = BasedRootDatum.from_json(direct_sum(C2, torus_datum(1), A1AD).to_json())
+    WeylGroup.build(outside)
+    WeylGroup.build(outside)
+    assert calls == [outside]
+
+
 def test_reflect_basics():
     for datum in (A2, C2, GL3):
         for i, alpha in enumerate(datum.roots):
@@ -357,10 +378,105 @@ def test_stabilizer_closure_and_nonmembers_move():
         assert group.mul(a, b) in idx
     for i in idx:
         assert group.inv(i) in idx
-    from hecke_functor.weyl import _act_on_point
     for i in range(group.order):
         if i not in idx:
             assert _act_on_point(group, i, pt) != pt
+
+
+# The Fraction path that the integer stabilizer replaced, kept as its
+# reference: each Weyl element acts on the point through Eig arithmetic.
+
+def _act_on_point(group, wi, point):
+    # (w t)(x) = t(w^-1 x): additively, apply the transpose of w^-1
+    m = il.transpose(group.matrices[group.inv(wi)])
+    out = []
+    for row in m:
+        q = Fraction(0)
+        a = Fraction(0)
+        for c, e in zip(row, point):
+            q += c * e.q_exp
+            a += c * e.angle
+        out.append(Eig(q, a))
+    return tuple(out)
+
+
+def _differ_by_scalar(a, b, direction):
+    """Is a = b * lambda^direction for a single scalar lambda?"""
+    pivot = next((k for k, d in enumerate(direction) if d != 0), None)
+    if pivot is None:
+        return a == b
+    d0 = direction[pivot]
+    diff = a[pivot] / b[pivot]
+    # lambda^d0 = diff: |d0| candidate angles, one candidate q-exponent
+    for shift in range(abs(d0)):
+        cand = Eig(diff.q_exp / d0, (diff.angle + shift) / d0)
+        if all(y * cand ** d == x for x, y, d in zip(a, b, direction)):
+            return True
+    return False
+
+
+def _reference_members(datum, point, direction=None):
+    group = WeylGroup.build(datum)
+    out = []
+    for i in range(group.order):
+        moved = _act_on_point(group, i, point)
+        if moved == point if direction is None else _differ_by_scalar(moved, point, direction):
+            out.append(i)
+    return out
+
+
+def _random_point(rng, rank, pool):
+    # coordinates drawn from a small pool, so that Weyl elements can fix them
+    return tuple(rng.choice(pool) for _ in range(rank))
+
+
+def _pool(rng):
+    return [Eig(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+                Fraction(rng.randint(0, 11), rng.choice((1, 2, 3, 4, 6, 12))))
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integer_stabilizer_matches_the_fraction_path_on_gl(n):
+    import random
+    rng = random.Random(n)
+    datum = build_classical("GL", n)
+    group = WeylGroup.build(datum)
+    (direction,) = il.kernel_basis(tuple(datum.coroots[i] for i in datum.simples))
+    points = [tuple(Eig.root_of_unity(k, n) for k in range(n)),
+              tuple(Eig(Fraction(k, 2), Fraction(k, 2 * n)) for k in range(n))]
+    points += [_random_point(rng, n, _pool(rng)) for _ in range(12)]
+    # unions of orbits of a root of unity of order m, shuffled: w(x) = lambda x
+    # for a w that is no scalar, so the projective stabilizer is larger
+    for m in (m for m in range(2, n + 1) if n % m == 0):
+        for _ in range(3):
+            bases = _pool(rng)[:n // m]
+            point = [b * Eig.root_of_unity(k, m) for b in bases for k in range(m)]
+            rng.shuffle(point)
+            points.append(tuple(point))
+    # a point and its twist by a scalar have one projective stabilizer
+    points += [tuple(e * Eig(Fraction(d, 3), Fraction(d, 5)) for e, d in zip(p, direction))
+               for p in points[2:6]]
+    for point in points:
+        for projective in (True, False):
+            stab = stabilizer_of_point(datum, point, projective=projective)
+            got = [group.index_of(e) for e in stab.elements]
+            assert got == _reference_members(datum, point,
+                                             direction if projective else None), point
+
+
+@pytest.mark.parametrize("family,rank,iso", [
+    (f, r, iso) for f in "ABC" for r in (1, 2, 3) for iso in ("sc", "ad")
+    if r >= (1 if f == "A" else 2)])
+def test_integer_stabilizer_matches_the_fraction_path_on_classical_data(family, rank, iso):
+    import random
+    rng = random.Random(f"{family}{rank}{iso}")
+    datum = build_classical(family, rank, iso)
+    group = WeylGroup.build(datum)
+    points = [(Eig(),) * rank] + [_random_point(rng, rank, _pool(rng)) for _ in range(25)]
+    for point in points:
+        got = [group.index_of(e) for e in stabilizer_of_point(datum, point).elements]
+        assert got == _reference_members(datum, point), point
 
 
 # ---------------------------------------------------------------------------
