@@ -15,9 +15,11 @@ for the abelian-quotient regime.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +28,7 @@ from .numkernel import Cyclo, cyclo_root_of_unity
 __all__ = [
     "FiniteGroup", "RepOrChar", "FinRepError",
     "irreducibles", "induce", "restrict", "hom_mult", "twist",
-    "clifford_identity_check",
+    "character_product", "clifford_identity_check",
 ]
 
 GROUP_SIZE_GUARD = 64
@@ -72,6 +74,7 @@ class FiniteGroup:
                 raise FinRepError(f"marked subset {name!r} is not closed")
             marks[name] = elems
         self.marked_subgroups: Mapping[str, frozenset[int]] = MappingProxyType(marks)
+        self._exponent: int | None = None
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -107,8 +110,9 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        from math import lcm
-        return lcm(*[self.element_order(a) for a in range(self.order)])
+        if self._exponent is None:
+            self._exponent = lcm(*[self.element_order(a) for a in range(self.order)])
+        return self._exponent
 
     def power(self, a: int, k: int) -> int:
         out = self.identity
@@ -227,10 +231,26 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class RepOrChar:
-    """A character as an exact class function (values per group element)."""
+    """A character as an exact class function (values per group element).
+
+    A class function whose values are roots of unity can also carry them as
+    integer exponents, `exps = (N, e)` with values[g] = zeta_N^e[g]: the
+    characters of abelian groups, tau characters and what `character_product`
+    makes of them do.  `hom_mult` and `character_product` then add exponents
+    instead of multiplying `Cyclo`s; the values, equality and the JSON form
+    are the same either way.
+    """
 
     group: FiniteGroup = field(compare=False)
     values: tuple[Cyclo, ...]
+    exps: tuple[int, tuple[int, ...]] | None = field(default=None, compare=False,
+                                                     repr=False)
+
+    @staticmethod
+    def from_exponents(group: FiniteGroup, n: int, exps: Sequence[int]) -> "RepOrChar":
+        """The class function g -> zeta_n^exps[g]."""
+        exps = tuple(e % n for e in exps)
+        return RepOrChar(group, tuple(cyclo_root_of_unity(e, n) for e in exps), (n, exps))
 
     def __post_init__(self):
         vals = tuple(v if isinstance(v, Cyclo) else Cyclo.rational(v)
@@ -313,17 +333,60 @@ class RepOrChar:
 
 
 def hom_mult(sigma: RepOrChar, rho: RepOrChar) -> int:
-    """dim Hom = <chi_sigma, chi_rho>, exact."""
+    """dim Hom = <chi_sigma, chi_rho>, exact.
+
+    When both carry exponents, the sum of sigma(g) conj(rho(g)) is counted
+    on the differences of the exponents: one `Cyclo` of conductor N, none
+    when every difference is zero."""
     if sigma.group is not rho.group and sigma.group.table != rho.group.table:
         raise FinRepError("characters live on different groups")
     g = sigma.group
-    total = Cyclo.rational(0)
-    for a in range(g.order):
-        total = total + sigma.values[a] * rho.values[a].conj()
-    q = (total * Cyclo.rational(Fraction(1, g.order))).rational_value()
+    if sigma.exps is not None and rho.exps is not None:
+        (m, e), (k, f) = sigma.exps, rho.exps
+        n = lcm(m, k)
+        a, b = n // m, n // k
+        counts = Counter((x * a - y * b) % n for x, y in zip(e, f))
+        if counts[0] == g.order:
+            return 1
+        total = Cyclo._make(n, counts)
+    else:
+        total = Cyclo.rational(0)
+        for a in range(g.order):
+            total = total + sigma.values[a] * rho.values[a].conj()
+    if not total.is_rational():
+        raise FinRepError("inner product is not a nonnegative integer")
+    q = total.rational_value() / g.order
     if q.denominator != 1 or q < 0:
         raise FinRepError("inner product is not a nonnegative integer")
     return int(q)
+
+
+def character_product(group: FiniteGroup,
+                      factors: Sequence[tuple[RepOrChar, Sequence[int] | None, int]]
+                      ) -> RepOrChar:
+    """The class function g -> prod chi(m[g])^s of `group`, over the factors
+    (chi, m, s): chi a class function of some group, m the map of group's
+    elements into that group (None for the identity), s = 1 or -1.  Exponents
+    are added when every factor carries them; no factor gives the trivial
+    character."""
+    size = group.order
+    if all(chi.exps is not None for chi, _, _ in factors):
+        n = lcm(*[chi.exps[0] for chi, _, _ in factors])
+        total = [0] * size
+        for chi, elt_map, s in factors:
+            m, e = chi.exps
+            scale = s * (n // m)
+            if elt_map is not None:
+                e = [e[j] for j in elt_map]
+            for i in range(size):
+                total[i] += scale * e[i]
+        return RepOrChar.from_exponents(group, n, total)
+    values = [Cyclo.rational(1)] * size
+    for chi, elt_map, s in factors:
+        for i in range(size):
+            v = chi.values[i if elt_map is None else elt_map[i]]
+            values[i] = values[i] * (v if s == 1 else v.inverse())
+    return RepOrChar(group, tuple(values))
 
 
 def twist(rho: RepOrChar, tau: RepOrChar) -> RepOrChar:
@@ -390,30 +453,17 @@ def _abelian_characters(group: FiniteGroup) -> list[RepOrChar]:
             kernel.append(exps)
         if g not in rep:
             rep[g] = exps
+    # the candidate character sends gen_i to zeta_N^(c_i N / o_i), N the
+    # exponent; it is well-defined exactly when it kills every relation tuple
+    exponent = group.exponent()
+    steps = [exponent // o for o in orders]
     chars = []
     for cs in itertools.product(*[range(o) for o in orders]):
-        # the candidate character sends gen_i to zeta_{o_i}^{c_i}; it is
-        # well-defined exactly when it kills every relation tuple
-        ok = True
-        for exps in kernel:
-            total = Fraction(0)
-            for c, e, o in zip(cs, exps, orders):
-                total += Fraction(c * e, o)
-            if total % 1 != 0:
-                ok = False
-                break
-        if not ok:
+        weights = [c * s for c, s in zip(cs, steps)]
+        if any(sum(w * x for w, x in zip(weights, exps)) % exponent for exps in kernel):
             continue
-        values = []
-        for g in range(n):
-            exps = rep[g]
-            angle = Fraction(0)
-            for c, e, o in zip(cs, exps, orders):
-                angle += Fraction(c * e, o)
-            angle %= 1
-            values.append(cyclo_root_of_unity(angle.numerator,
-                                              angle.denominator))
-        chars.append(RepOrChar(group, tuple(values)))
+        chars.append(RepOrChar.from_exponents(
+            group, exponent, [sum(w * x for w, x in zip(weights, rep[g])) for g in range(n)]))
     if len(chars) != n:
         raise FinRepError("internal: wrong number of abelian characters")
     return chars

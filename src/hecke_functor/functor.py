@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import intlattice as il
-from .finrep import RepOrChar, hom_mult, irreducibles
+from .finrep import RepOrChar, character_product, hom_mult, irreducibles
 from .lparam import (
     ComponentGroupResult, GroupTag, ToyParameter, component_group,
     relevant_enhancements, tau_character,
@@ -267,23 +267,11 @@ class GroupHomDesc:
         self.steps = steps
         self.source = steps[0].dom          # the map's domain group
         self.target = steps[-1].cod         # the map's codomain group
-        self._lattice: RDMorphism | None = None
         self._facto: Factorization | None = None
 
     @property
     def lattice_map(self) -> RDMorphism:
-        if self._lattice is None:
-            mor = None
-            for step in self.steps:
-                cur = RDMorphism(tag_root_datum(step.dom), tag_root_datum(step.cod),
-                                 step.char_matrix())
-                mor = cur if mor is None else mor.compose(cur)
-            verdict = is_condition1(mor)
-            if not verdict:
-                raise FunctorError("lattice map is not admissible: "
-                                   + "; ".join(verdict.reasons))
-            self._lattice = mor
-        return self._lattice
+        return _lattice_map(self.steps)
 
     @property
     def factorization(self) -> Factorization:
@@ -295,6 +283,23 @@ class GroupHomDesc:
         return "GroupHomDesc(" + " -> ".join(
             [self.steps[0].dom.factors.__repr__()]
             + [s.kind for s in self.steps]) + ")"
+
+
+@lru_cache(maxsize=256)
+def _lattice_map(steps: tuple[_Step, ...]) -> RDMorphism:
+    # one composite per step chain, however many descriptors name it (each
+    # compose() makes a new one); bounded, since chains read from JSON are
+    # unbounded in number.  A chain that is not admissible raises every time
+    mor = None
+    for step in steps:
+        cur = RDMorphism(tag_root_datum(step.dom), tag_root_datum(step.cod),
+                         step.char_matrix())
+        mor = cur if mor is None else mor.compose(cur)
+    verdict = is_condition1(mor)
+    if not verdict:
+        raise FunctorError("lattice map is not admissible: "
+                           + "; ".join(verdict.reasons))
+    return mor
 
 
 def hom_identity(tag: GroupTag) -> GroupHomDesc:
@@ -405,11 +410,10 @@ def lmap_param(f: GroupHomDesc, phi: ToyParameter) -> ToyParameter:
     return phi
 
 
-@dataclass
+@dataclass(frozen=True)
 class SMapData:
     """The component-group injection and the Ad-twist of one homomorphism."""
 
-    hom: GroupHomDesc
     phi_cod: ToyParameter
     phi_dom: ToyParameter
     comp_cod: ComponentGroupResult
@@ -439,39 +443,37 @@ class SMapData:
 
     def pullback(self, rho_dom: RepOrChar, flip_twist: bool = False) -> RepOrChar:
         """(rho~ o iota) (x) twist as a character of S(phi_cod)."""
-        vals = []
-        for i in range(self.comp_cod.order):
-            t = self.twist.values[i]
-            if flip_twist:
-                t = t.inverse()
-            vals.append(rho_dom.values[self.element_map[i]] * t)
-        return RepOrChar(self.comp_cod.group, tuple(vals))
+        return _pull(rho_dom, self.element_map, self.twist, -1 if flip_twist else 1)
 
 
 def smap(f: GroupHomDesc, phi: ToyParameter, flip_twist: bool = False) -> SMapData:
-    """Injection S(phi) -> S(phi~) with its accumulated Ad-twist."""
+    """Injection S(phi) -> S(phi~) with its accumulated Ad-twist.
+
+    Built once per (step chain, phi, flip_twist): the result is frozen, so
+    every caller shares it."""
     f.lattice_map      # admissibility gate
-    phi_cod = phi
-    comp_cod = component_group(f.target, phi_cod)
-    cur_tag, cur_phi, cur_comp = f.target, phi_cod, comp_cod
-    elt_map = list(range(comp_cod.order))
-    twist_vals = [Cyclo.rational(1)] * comp_cod.order
-    for step in reversed(f.steps):
+    return _smap(f.steps, phi, flip_twist)
+
+
+@lru_cache(maxsize=256)
+def _smap(steps: tuple[_Step, ...], phi: ToyParameter, flip_twist: bool) -> SMapData:
+    # bounded, since maps and parameters read from JSON are unbounded in number
+    cur_tag, cur_phi = steps[-1].cod, phi
+    comp_cod = cur_comp = component_group(cur_tag, phi)
+    elt_map = tuple(range(comp_cod.order))
+    taus = []                # one tau character per Ad step, with its map
+    for step in reversed(steps):
         if step.kind == "ad":
             tau = tau_character(cur_tag, cur_phi, step.ad_vector, cur_comp)
-            for i in range(comp_cod.order):
-                twist_vals[i] = twist_vals[i] * tau.values[elt_map[i]]
+            taus.append((tau, elt_map, -1 if flip_twist else 1))
             continue
         phi_next = step.pull_param(cur_phi)
         comp_next = component_group(step.dom, phi_next)
         local = step.map_components(cur_phi, cur_comp, phi_next, comp_next)
-        elt_map = [local[e] for e in elt_map]
+        elt_map = tuple(local[e] for e in elt_map)
         cur_tag, cur_phi, cur_comp = step.dom, phi_next, comp_next
-    if flip_twist:
-        twist_vals = [v.inverse() for v in twist_vals]
-    twist = RepOrChar(comp_cod.group, tuple(twist_vals))
-    return SMapData(f, phi_cod, cur_phi, comp_cod, cur_comp,
-                    tuple(elt_map), twist)
+    return SMapData(phi, cur_phi, comp_cod, cur_comp, elt_map,
+                    character_product(comp_cod.group, taus))
 
 
 def conjA_decompose(f: GroupHomDesc, phi: ToyParameter, rho: RepOrChar,
@@ -517,33 +519,31 @@ def check_transitivity(f: GroupHomDesc, q: GroupHomDesc, phi: ToyParameter,
         return False
     # composed data
     composed_map = tuple(sf.element_map[e] for e in sq.element_map)
-    composed_twist = []
-    for i in range(sq.comp_cod.order):
-        composed_twist.append(sq.twist.values[i]
-                              * sf.twist.values[sq.element_map[i]])
+    composed_twist = character_product(sq.comp_cod.group, [
+        (sq.twist, None, 1), (sf.twist, sq.element_map, 1)])
     # compare through characters of the domain-side group (conjugation
     # invariant): pull back every irreducible both ways
     for rho_t in irreducibles(direct.comp_dom.group):
-        a = direct.pullback(rho_t)
-        b_vals = tuple(rho_t.values[composed_map[i]] * composed_twist[i]
-                       for i in range(sq.comp_cod.order))
-        if tuple(a.values) != b_vals:
+        if direct.pullback(rho_t) != _pull(rho_t, composed_map, composed_twist):
             return False
     if sample_enhancements:
         for rho in sample_enhancements:
             lhs = conjA_decompose(qf, phi, rho)
-            rhs = _decompose_via(composed_map, composed_twist, direct, phi, rho)
+            rhs = _decompose_via(composed_map, composed_twist, direct, rho)
             if _multiset(lhs) != _multiset(rhs):
                 return False
     return True
 
 
-def _decompose_via(elt_map, twist_vals, data: SMapData, phi, rho):
+def _pull(rho_t: RepOrChar, elt_map, twist: RepOrChar, sign: int = 1) -> RepOrChar:
+    """(rho~ o elt_map) (x) twist^sign as a character of the twist's group."""
+    return character_product(twist.group, [(rho_t, elt_map, 1), (twist, None, sign)])
+
+
+def _decompose_via(elt_map, twist: RepOrChar, data: SMapData, rho: RepOrChar):
     out = []
     for rho_t in irreducibles(data.comp_dom.group):
-        vals = tuple(rho_t.values[elt_map[i]] * twist_vals[i]
-                     for i in range(len(elt_map)))
-        m = hom_mult(rho, RepOrChar(data.comp_cod.group, vals))
+        m = hom_mult(rho, _pull(rho_t, elt_map, twist))
         if m:
             out.append((data.phi_dom, rho_t, m))
     return out

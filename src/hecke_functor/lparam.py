@@ -24,10 +24,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .finrep import FiniteGroup, RepOrChar, irreducibles
-from .numkernel import Cyclo, cyclo_root_of_unity
+from .numkernel import Cyclo
 from .weyl import Eig
 
 __all__ = [
@@ -83,8 +84,14 @@ class ToyParameter:
     sl2_trivial = True
 
     def __post_init__(self):
-        object.__setattr__(self, "factors",
-                           tuple(tuple(e) for e in self.factors))
+        factors = tuple(tuple(e) for e in self.factors)
+        object.__setattr__(self, "factors", factors)
+        # a parameter keys the component-group and S-map memos; hashing its
+        # Fraction eigenvalues on every lookup would cost more than the lookup
+        object.__setattr__(self, "_hash", hash(factors))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(tag: GroupTag, lists: Sequence[Sequence[Eig]]) -> "ToyParameter":
@@ -119,17 +126,19 @@ def _normalize_projective(eigs: tuple[Eig, ...]) -> tuple[Eig, ...]:
     The q-mean is subtracted outright; for the angles, every shift by
     mean + j/n makes the angle sum vanish modulo one, and the wraparound
     makes these genuinely different tuples, so the lexicographically least
-    one is kept as the canonical representative.
+    one is kept as the canonical representative.  The candidates are
+    compared as integer numerators over one common denominator n * d (d the
+    lcm of the angles' denominators); only the winner becomes `Eig`s.
     """
     n = len(eigs)
     mean_q = sum(e.q_exp for e in eigs) / n
-    mean_a = sum(e.angle for e in eigs) / n
-    candidates = []
-    for j in range(n):
-        shift = mean_a + Fraction(j, n)
-        cand = tuple(Eig(e.q_exp - mean_q, e.angle - shift) for e in eigs)
-        candidates.append(cand)
-    return min(candidates, key=lambda c: tuple((e.q_exp, e.angle) for e in c))
+    d = lcm(*[e.angle.denominator for e in eigs])
+    # angle_i - (sum_k angle_k + j) / n over the denominator n * d
+    nums = [e.angle.numerator * (d // e.angle.denominator) for e in eigs]
+    den = n * d
+    total = sum(nums)
+    best = min(tuple((n * a - total - j * d) % den for a in nums) for j in range(n))
+    return tuple(Eig(e.q_exp - mean_q, Fraction(a, den)) for e, a in zip(eigs, best))
 
 
 def _is_multiplicity_free(eigs: tuple[Eig, ...]) -> bool:
@@ -351,21 +360,6 @@ def _component_group(factors: tuple[tuple[str, int], ...],
 # tau characters and relevance
 
 
-def _commutator_scalar(eigs: tuple[Eig, ...], w: tuple[int, ...]) -> Cyclo:
-    """c_h(Fr) = h t h^-1 t^-1 for a monomial h with permutation part w:
-    the constant value of eigs[w^-1(i)] / eigs[i], a root of unity."""
-    n = len(eigs)
-    w_inv = tuple(w.index(i) for i in range(n))
-    ratios = {eigs[w_inv[i]] / eigs[i] for i in range(n)}
-    if len(ratios) != 1:
-        raise LParamError("internal: commutator is not scalar")
-    lam = ratios.pop()
-    if lam.q_exp != 0:
-        raise LParamError("internal: commutator scalar has a q-part")
-    a = lam.angle
-    return cyclo_root_of_unity(a.numerator, a.denominator)
-
-
 def tau_character(tag: GroupTag, phi: ToyParameter,
                   g: Sequence[Sequence[int]],
                   result: ComponentGroupResult | None = None) -> RepOrChar:
@@ -376,6 +370,12 @@ def tau_character(tag: GroupTag, phi: ToyParameter,
     lattice of the adjoint torus modulo the image of the group's own torus.
     Only the coordinate sum enters for SL factors; GL and PGL factors have
     surjective torus maps, so their contribution is trivial.
+
+    For the component (w, lambda) of an SL factor the commutator
+    c_h(Fr) = h phi(Fr) h^-1 phi(Fr)^-1 of a monomial h over w is the scalar
+    lambda itself: phi(Fr)_{w^-1(i)} / phi(Fr)_i = lambda for every i.  Its
+    order divides that of w, so the values are exponents modulo the group's
+    exponent N.
     """
     if result is None:
         result = component_group(tag, phi)
@@ -385,43 +385,36 @@ def tau_character(tag: GroupTag, phi: ToyParameter,
     for (kind, n), gf in zip(tag.factors, g):
         if kind != "T" and len(gf) != n:
             raise LParamError("cocharacter vector has wrong length")
-    values = []
+    exponent = result.group.exponent()
+    sl = [(f, sum(g[f])) for f, (kind, _) in enumerate(tag.factors) if kind == "SL"]
+    exps = []
     for i in range(result.order):
-        total = Cyclo.rational(1)
-        for f, (kind, n) in enumerate(tag.factors):
-            if kind != "SL":
-                continue
-            w, _lam = result.pair_data(i)[f]
-            c = _commutator_scalar(phi.factors[f], w)
-            total = total * c ** sum(g[f])
-        values.append(total)
-    return RepOrChar(result.group, tuple(values))
+        pairs = result.pair_data(i)
+        total = 0
+        for f, s in sl:
+            a = pairs[f][1].angle
+            if exponent % a.denominator:
+                raise LParamError("internal: commutator scalar outside mu_N")
+            total += a.numerator * (exponent // a.denominator) * s
+        exps.append(total)
+    return RepOrChar.from_exponents(result.group, exponent, exps)
 
 
 def relevant_enhancements(tag: GroupTag, phi: ToyParameter,
                           result: ComponentGroupResult | None = None
                           ) -> list[RepOrChar]:
     """Characters of the component group whose pullback to the center of the
-    product of SL_n(C)'s equals the tag's inner-twist label."""
+    product of SL_n(C)'s equals the tag's inner-twist label.
+
+    The center generator zeta_n I of a matrix factor is a scalar matrix,
+    hence lies in the identity component: every character pulls back to the
+    trivial character of mu_n.  So either every irreducible is relevant (each
+    label zeta -> zeta^k is trivial, k = 0 mod n) or none is."""
     if result is None:
         result = component_group(tag, phi)
-    out = []
-    for rho in irreducibles(result.group):
-        ok = True
-        for f, (kind, n) in enumerate(tag.factors):
-            if kind == "T":
-                continue
-            # the center generator zeta_n I is a scalar matrix, hence lies in
-            # the identity component: the pullback of rho to mu_n is trivial,
-            # and relevance asks it to be the zeta-label of the factor
-            pullback = cyclo_root_of_unity(0, 1)
-            label = cyclo_root_of_unity(tag.zeta[f] % n, n)
-            if pullback != label:
-                ok = False
-                break
-        if ok:
-            out.append(rho)
-    return out
+    if any(kind != "T" and z % n for (kind, n), z in zip(tag.factors, tag.zeta)):
+        return []
+    return irreducibles(result.group)
 
 
 # ---------------------------------------------------------------------------

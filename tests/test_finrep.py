@@ -1,12 +1,15 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from hecke_functor.numkernel import Cyclo, cyclo_root_of_unity
 from hecke_functor.finrep import (
-    FiniteGroup, FinRepError, RepOrChar, clifford_identity_check, hom_mult,
-    induce, irreducibles, restrict, twist,
+    FiniteGroup, FinRepError, RepOrChar, character_product,
+    clifford_identity_check, hom_mult, induce, irreducibles, restrict, twist,
 )
+from hecke_functor.lparam import GroupTag, ToyParameter, component_group, tau_character
+from hecke_functor.weyl import Eig
 
 
 def test_cyclic_characters():
@@ -377,3 +380,122 @@ def test_matrix_representation_character():
     chi = RepOrChar.from_matrices(g, mats, gens)
     assert chi.degree == 2
     assert hom_mult(chi, chi) == 1
+
+
+# ---------------------------------------------------------------------------
+# the exponent path against the Cyclo sums it replaces
+
+
+def _inner_by_cyclo(sigma, rho):
+    """sum sigma(g) conj(rho(g)) / |G| over the values, as a Cyclo."""
+    total = Cyclo.rational(0)
+    for a in range(sigma.group.order):
+        total = total + sigma.values[a] * rho.values[a].conj()
+    return total * Cyclo.rational(Fraction(1, sigma.group.order))
+
+
+def _values_only(chi):
+    return RepOrChar(chi.group, chi.values)
+
+
+def _check_against_cyclo(sigma, rho):
+    assert sigma.exps is not None and rho.exps is not None
+    want = _inner_by_cyclo(sigma, rho).rational_value()
+    assert want.denominator == 1 and want >= 0
+    assert hom_mult(sigma, rho) == want
+    assert hom_mult(_values_only(sigma), _values_only(rho)) == want
+
+
+_SMALL_ABELIAN = [pytest.param(FiniteGroup.cyclic(n), id=f"C{n}") for n in range(1, 13)] + [
+    pytest.param(FiniteGroup.product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(a)), id=f"C2xC{a}")
+    for a in (2, 4)]
+
+
+@pytest.mark.parametrize("group", _SMALL_ABELIAN)
+def test_counting_hom_mult_matches_the_cyclo_sum(group):
+    chars = irreducibles(group)
+    for chi in chars:
+        n, exps = chi.exps
+        assert n == group.exponent()
+        assert chi.values == tuple(cyclo_root_of_unity(e, n) for e in exps)
+    for sigma, rho in itertools.product(chars, repeat=2):
+        _check_against_cyclo(sigma, rho)
+
+
+def _tau_by_cyclo(tag, phi, g, res):
+    """tau(i) = prod over SL factors of c^(sum g_f), c the commutator scalar
+    phi_{w^-1(j)} / phi_j of the component's permutation w, in Cyclo
+    products."""
+    values = []
+    for i in range(res.order):
+        total = Cyclo.rational(1)
+        for f, (kind, n) in enumerate(tag.factors):
+            if kind != "SL":
+                continue
+            w, _ = res.pair_data(i)[f]
+            eigs = phi.factors[f]
+            w_inv = tuple(w.index(j) for j in range(n))
+            ratios = {eigs[w_inv[j]] / eigs[j] for j in range(n)}
+            assert len(ratios) == 1
+            lam = ratios.pop()
+            total = total * cyclo_root_of_unity(lam.angle.numerator,
+                                                lam.angle.denominator) ** sum(g[f])
+        values.append(total)
+    return values
+
+
+def _sl_principal(*sizes):
+    """SL_n1 x SL_n2 x ... with principal cycles: S_phi = Z/n1 x Z/n2 x ..."""
+    tag = GroupTag(tuple(("SL", n) for n in sizes))
+    return tag, ToyParameter.make(tag, [[Eig.root_of_unity(k, n) for k in range(n)]
+                                        for n in sizes])
+
+
+@pytest.mark.parametrize("sizes", [(n,) for n in range(1, 13)] + [(2, 2), (2, 4)],
+                         ids=str)
+def test_products_with_tau_match_the_cyclo_products(sizes):
+    tag, phi = _sl_principal(*sizes)
+    res = component_group(tag, phi)
+    group = res.group
+    chars = irreducibles(group)
+    cocharacters = [[[1] + [0] * (n - 1) for n in sizes],
+                    [list(range(n - 1)) + [-2] for n in sizes]]
+    for g in cocharacters:
+        tau = tau_character(tag, phi, g, res)
+        assert list(tau.values) == _tau_by_cyclo(tag, phi, g, res)
+        for sigma in chars:
+            product = character_product(group, [(sigma, None, 1), (tau, None, 1)])
+            assert product.values == tuple(a * b for a, b in zip(sigma.values, tau.values))
+            inverse = character_product(group, [(sigma, None, 1), (tau, None, -1)])
+            assert inverse.values == tuple(a * b.inverse()
+                                           for a, b in zip(sigma.values, tau.values))
+            for rho in chars:
+                _check_against_cyclo(product, rho)
+
+
+def test_character_product_through_a_map():
+    # a character of Z/6 pulled back along Z/3 -> Z/6, k -> 2k, twisted
+    z3, z6 = FiniteGroup.cyclic(3), FiniteGroup.cyclic(6)
+    embed = [0, 2, 4]
+    for chi in irreducibles(z6):
+        for tau in irreducibles(z3):
+            got = character_product(z3, [(chi, embed, 1), (tau, None, -1)])
+            assert got.values == tuple(chi.values[embed[i]] * tau.values[i].inverse()
+                                       for i in range(3))
+            slow = character_product(z3, [(_values_only(chi), embed, 1), (tau, None, -1)])
+            assert slow.exps is None and slow.values == got.values
+
+
+@pytest.mark.parametrize("exps", [(0, 1, 0, 0), (0, 2, 0, 0), (1, 1, 1, 0)])
+def test_a_class_function_that_is_not_a_character_is_refused(exps):
+    # on Z/4 against the trivial character: (3 + i) / 4, 1 / 2 and (1 + 3i) / 4
+    group = FiniteGroup.cyclic(4)
+    sigma = RepOrChar.from_exponents(group, 4, exps)
+    trivial = irreducibles(group)[0]
+    assert trivial.values == (Cyclo.rational(1),) * 4
+    want = _inner_by_cyclo(sigma, trivial)
+    assert not (want.is_rational() and want.rational_value().denominator == 1)
+    with pytest.raises(FinRepError):
+        hom_mult(sigma, trivial)
+    with pytest.raises(FinRepError):
+        hom_mult(_values_only(sigma), _values_only(trivial))

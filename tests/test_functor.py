@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hecke_functor import finrep, functor, lparam, rootdata
 from hecke_functor.finrep import FiniteGroup, RepOrChar, induce, irreducibles
 from hecke_functor.lparam import (
-    GroupTag, ToyParameter, component_group, relevant_enhancements,
+    GroupTag, ToyParameter, component_group, parameter_from_json, relevant_enhancements,
 )
 from hecke_functor.numkernel import Cyclo, cyclo_root_of_unity
 from hecke_functor.rootdata import is_condition1
 from hecke_functor.functor import (
     FunctorError, check_transitivity, compose, conjA_decompose, hom_ad,
-    hom_dual_automorphism, hom_gl_to_pgl, hom_identity, hom_sl_to_gl,
+    hom_dual_automorphism, hom_from_json, hom_gl_to_pgl, hom_identity, hom_sl_to_gl,
     hom_sl_to_pgl, hom_torus_insertion, hom_torus_projection, lmap_param,
     packet_union_check, smap, tag_root_datum,
 )
@@ -379,15 +380,86 @@ def test_warm_transitivity_chain_builds_nothing():
 
     caches = (rootdata._build_classical, functor._tag_root_datum,
               lparam._component_group, lparam._sl_factor_components,
-              finrep._irreducibles)
+              finrep._irreducibles, functor._lattice_map, functor._smap)
     chain()
     before = [c.cache_info() for c in caches]
     chain()
     after = [c.cache_info() for c in caches]
     for b, a in zip(before, after):
         assert a.misses == b.misses and a.currsize == b.currsize
-    for k in (1, 2, 4):                  # the sums, component groups, tables
+    # component groups, tables, the composites' lattice maps, the S-maps; a
+    # warm chain reaches no root-datum memo
+    for k in (2, 4, 5, 6):
         assert after[k].hits > before[k].hits
+
+
+def test_memos_are_bounded():
+    for cache in (functor._tag_root_datum, functor._lattice_map, functor._smap):
+        assert cache.cache_info().maxsize is not None
+    # 300 distinct parameters and Ad maps, read from JSON, each pulled back
+    gl3 = {"factors": [{"tag": "GLn", "n": 3}], "zeta": [0]}
+    for k in range(1, 301):
+        eigs = [{"q": str(k), "angle": "0"}, {"q": "0", "angle": "1/3"},
+                {"q": str(-k), "angle": "2/3"}]
+        tag, phi = parameter_from_json({**gl3, "factors": [{**gl3["factors"][0], "eigs": eigs}]})
+        f = hom_from_json({"steps": [{"kind": "ad", "dom": [["GL", 3]], "dom_zeta": [0],
+                                      "g": [[k, 0, 0]]}]})
+        assert smap(f, phi).phi_dom == phi
+    for cache in (functor._lattice_map, functor._smap, lparam._component_group):
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+def test_smap_data_is_frozen_and_shared():
+    tag, phi = principal_sl(3)
+    f = hom_ad(tag, [[1, 0, 0]])
+    data = smap(f, phi)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.twist = data.twist
+    assert not hasattr(data, "hom")
+    # a new descriptor of the same chain shares the S-map
+    assert smap(hom_ad(tag, [[1, 0, 0]]), phi) is data
+
+
+def test_flipped_twist_is_memoised_apart():
+    n = 3
+    tag, phi = principal_sl(n)
+    f = hom_ad(tag, [[1, 0, 0]])
+    plain, flipped = smap(f, phi), smap(f, phi, flip_twist=True)
+    assert plain is smap(f, phi) and flipped is smap(f, phi, flip_twist=True)
+    assert plain is not flipped
+    assert plain.twist != flipped.twist
+    assert all(b == a.inverse() for a, b in zip(plain.twist.values, flipped.twist.values))
+    gen = _standard_cycle_index(plain.comp_cod)
+    assert plain.twist.values[gen] == cyclo_root_of_unity(n - 1, n)
+    assert flipped.twist.values[gen] == cyclo_root_of_unity(1, n)
+
+
+def _decompositions():
+    """Every relevant enhancement's decomposition along a few maps, as text."""
+    out = []
+    for n in (2, 3, 4):
+        tag_sl, phi_sl = principal_sl(n)
+        tag_gl, phi_gl = principal_gl(n)
+        for f, phi in [(hom_ad(tag_sl, [[1] + [0] * (n - 1)]), phi_sl),
+                       (hom_sl_to_gl(n), phi_gl),
+                       (compose(hom_ad(tag_sl, [[2] + [0] * (n - 1)]), hom_sl_to_gl(n)), phi_gl),
+                       (hom_dual_automorphism(tag_gl), phi_gl)]:
+            for rho in relevant_enhancements(f.target, phi):
+                for flip in (False, True):
+                    out.append(sorted((repr(p.factors), repr(r.values), m)
+                                      for p, r, m in conjA_decompose(f, phi, rho, flip)))
+    return out
+
+
+def test_decompositions_agree_cold_and_warm():
+    for cache in (functor._tag_root_datum, functor._lattice_map, functor._smap,
+                  lparam._component_group, lparam._sl_factor_components,
+                  finrep._irreducibles):
+        cache.cache_clear()
+    cold = _decompositions()
+    assert _decompositions() == cold
+    assert functor._smap.cache_info().hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +529,9 @@ def _pullback_round(f, q, phi):
 @settings(max_examples=60, deadline=None)
 @given(_chains())
 def test_random_chains_are_transitive_and_conserve_multiplicities(chain):
-    for cache in (functor._tag_root_datum, lparam._component_group,
-                  lparam._sl_factor_components, finrep._irreducibles):
+    for cache in (functor._tag_root_datum, functor._lattice_map, functor._smap,
+                  lparam._component_group, lparam._sl_factor_components,
+                  finrep._irreducibles):
         cache.cache_clear()
     cold = _pullback_round(*chain)
     warm = _pullback_round(*chain)

@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from hecke_functor import lparam
-from hecke_functor.finrep import hom_mult
+from hecke_functor import functor, lparam
+from hecke_functor.finrep import hom_mult, irreducibles
 from hecke_functor.numkernel import Cyclo, cyclo_root_of_unity
 from hecke_functor.lparam import (
     GroupTag, LParamError, ToyParameter, component_group,
@@ -359,3 +360,108 @@ def test_component_group_marks_are_frozen():
         res.group.marked_subgroups["Z_phi"] = frozenset()
     assert not hasattr(res.group, "mark_subgroup")
     assert res.group.marked_subgroups["Z_phi"] == {res.group.identity}
+
+
+# ---------------------------------------------------------------------------
+# the integer normalisation against the Fraction one it replaces
+
+
+def _normalize_by_fractions(eigs):
+    """Every shift by mean + j/n, as Eig lists in Fractions; the least wins."""
+    n = len(eigs)
+    mean_q = sum(e.q_exp for e in eigs) / n
+    mean_a = sum(e.angle for e in eigs) / n
+    candidates = [tuple(Eig(e.q_exp - mean_q, e.angle - mean_a - Fraction(j, n))
+                        for e in eigs) for j in range(n)]
+    return min(candidates, key=lambda c: tuple((e.q_exp, e.angle) for e in c))
+
+
+def _catalog_lists():
+    """Every list that pulling the catalog maps' parameters back, one map or
+    a composable pair at a time, hands to the normalisation, n <= 7."""
+    seen = []
+    record = lparam._normalize_projective
+
+    def recording(eigs):
+        seen.append(tuple(eigs))
+        return record(eigs)
+
+    lparam._normalize_projective = recording
+    try:
+        for n in range(1, 8):
+            sl, gl, pgl = (GroupTag.single(k, n) for k in ("SL", "GL", "PGL"))
+            maps = [functor.hom_sl_to_gl(n), functor.hom_gl_to_pgl(n),
+                    functor.hom_sl_to_pgl(n), functor.hom_dual_automorphism(gl),
+                    functor.hom_torus_insertion(sl, 1), functor.hom_torus_insertion(gl, 1)]
+            maps += [functor.hom_ad(t, [[1] + [0] * (n - 1)]) for t in (sl, gl, pgl)]
+            maps += [functor.compose(f, q) for f in maps for q in maps
+                     if f.target == q.source]
+            for f in maps:
+                for eigs in _shapes(n, f.target.factors[0][0]):
+                    lists = [eigs] + [[Eig()]] * (len(f.target.factors) - 1)
+                    functor.lmap_param(f, ToyParameter.make(f.target, lists))
+    finally:
+        lparam._normalize_projective = record
+    return seen
+
+
+def _shapes(n, kind):
+    """Multiplicity-free lists of several shapes; PGL ones on determinant one."""
+    qs = [Fraction(2 * i - n + 1, 2) for i in range(n)]
+    out = [[Eig.root_of_unity(k, n) for k in range(n)],
+           [Eig(q) for q in qs], [Eig(q / 2, Fraction(k % 2, 2)) for k, q in enumerate(qs)],
+           [Eig.root_of_unity(k, 2 * n) for k in range(n)],
+           [Eig(3 * q, Fraction(k, 3 * n)) for k, q in enumerate(qs)]]
+    if kind == "PGL":
+        shifts = [Eig(-sum(e.q_exp for e in eigs) / n, -sum(e.angle for e in eigs) / n)
+                  for eigs in out]
+        out = [[e * s for e in eigs] for eigs, s in zip(out, shifts)]
+    return out
+
+
+def test_integer_normalisation_matches_the_fraction_one():
+    lists = list(dict.fromkeys(_catalog_lists()))
+    assert {len(eigs) for eigs in lists} == set(range(1, 8))
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        lists.append(tuple(Eig(Fraction(rng.randint(-9, 9), rng.randint(1, 8)),
+                               Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+                           for _ in range(n)))
+    for eigs in lists:
+        got = lparam._normalize_projective(eigs)
+        assert got == _normalize_by_fractions(eigs)
+        assert sum(e.q_exp for e in got) == 0 and sum(e.angle for e in got) % 1 == 0
+
+
+# ---------------------------------------------------------------------------
+# relevance decided once per tag
+
+
+def _relevant_by_loop(tag, phi):
+    """The per-character loop: the pullback to mu_n (trivial) against the
+    label zeta_n^zeta of every matrix factor."""
+    out = []
+    for rho in irreducibles(component_group(tag, phi).group):
+        if all(cyclo_root_of_unity(0, 1) == cyclo_root_of_unity(z % n, n)
+               for (kind, n), z in zip(tag.factors, tag.zeta) if kind != "T"):
+            out.append(rho)
+    return out
+
+
+def test_relevance_is_decided_once_per_tag():
+    for n in range(1, 7):
+        for kind in ("SL", "GL", "PGL"):
+            eigs = _shapes(n, kind)[0 if kind != "PGL" else 3]
+            for zeta in range(-n, 2 * n + 1):
+                tag = GroupTag.single(kind, n, zeta)
+                phi = ToyParameter.make(tag, [eigs])
+                got = relevant_enhancements(tag, phi)
+                assert [r.values for r in got] == \
+                    [r.values for r in _relevant_by_loop(tag, phi)]
+                assert len(got) == (component_group(tag, phi).order if zeta % n == 0 else 0)
+    tag = GroupTag((("SL", 2), ("T", 1), ("GL", 3)), (0, 5, 3))
+    phi = ToyParameter.make(tag, [[Eig(), Eig(angle=Fraction(1, 2))], [Eig()],
+                                  [Eig(Fraction(k)) for k in range(3)]])
+    assert [r.values for r in relevant_enhancements(tag, phi)] == \
+        [r.values for r in _relevant_by_loop(tag, phi)] != []
