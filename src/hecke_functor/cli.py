@@ -14,15 +14,16 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
+from . import decode
 from .finrep import FiniteGroup, RepOrChar, induce, irreducibles
 from .functor import (
     conjA_decompose, hom_ad, hom_from_json, hom_sl_to_gl,
     packet_union_check,
 )
 from .hecke import (
-    HeckeElement, HeckeSpec, ad_xg, alpha_g_twist, is_central, mul_im,
+    HeckeElement, HeckeSpec, ad_xg, alpha_g_twist, is_central, key_from_json,
+    mul_im,
 )
 from .lparam import (
     GroupTag, ToyParameter, component_group, parameter_from_json,
@@ -48,60 +49,37 @@ _LIBRARY_ERRORS = tuple([ValueError, KeyError, ZeroDivisionError])
 # fixtures and I/O
 
 
-def _builtin_fixture(name: str):
-    if name.startswith("datum:"):
-        tag = name.split(":", 1)[1]
-        if tag.startswith("gl"):
-            return build_classical("GL", int(tag[2:])).to_json()
-        family, rest = tag[0].upper(), tag[1:]
-        n, iso = int(rest[:-2]), rest[-2:]
-        return build_classical(family, n, iso).to_json()
-    if name.startswith("group:"):
-        tag = name.split(":", 1)[1]
-        if tag.startswith("s"):
-            return FiniteGroup.symmetric(int(tag[1:])).to_json()
-        if tag.startswith("d"):
-            return FiniteGroup.dihedral(int(tag[1:])).to_json()
-        if tag.startswith("z"):
-            return FiniteGroup.cyclic(int(tag[1:])).to_json()
-    if name.startswith("param:sln"):
-        n = int(name.split("sln")[1])
-        tag = GroupTag.single("SL", n)
-        return parameter_to_json(tag, ToyParameter.principal_cycle(tag))
-    raise ValidationError(f"unknown fixture {name!r}")
+_GROUPS = {"s": FiniteGroup.symmetric, "d": FiniteGroup.dihedral, "z": FiniteGroup.cyclic}
+# the built-in fixtures, by the kind `decode.fixture` reads off their names
+_FIXTURES = {
+    "datum": lambda family, n, iso: build_classical(family.upper(), n, iso).to_json(),
+    "group": lambda kind, n: _GROUPS[kind](n).to_json(),
+    "param": lambda n: parameter_to_json(GroupTag.single("SL", n),
+                                         ToyParameter.principal_cycle(GroupTag.single("SL", n))),
+}
 
 
 def _load_json(source: str):
-    """Load JSON from a file path, a fixture name, or an inline literal."""
+    """Load JSON from an inline literal, a file path, a file in the fixture
+    directory, or a built-in fixture name."""
     if source is None:
         raise ValidationError("missing input")
     if source.strip().startswith(("{", "[")):
-        try:
-            return json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad inline JSON: {exc}")
-    if os.path.exists(source):
-        with open(source) as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"bad JSON in {source}: {exc}")
+        return _decode(decode.json_document, source)
     fixtures_dir = os.environ.get("HECKE_FUNCTOR_FIXTURES")
-    if fixtures_dir:
-        candidate = os.path.join(fixtures_dir, source + ".json")
-        if os.path.exists(candidate):
-            with open(candidate) as fh:
-                return json.load(fh)
+    for path in (source, fixtures_dir and os.path.join(fixtures_dir, source + ".json")):
+        if path and os.path.exists(path):
+            return _decode(decode.json_document, None, path)
     if ":" in source:
-        return _builtin_fixture(source)
+        kind, fields = _decode(decode.fixture, source)
+        return _FIXTURES[kind](*fields)
     raise ValidationError(f"no such input: {source!r}")
 
 
-def _decode(decoder, data):
-    """Run a `from_json` decoder on input; a shape it refuses is a validation
-    error."""
+def _decode(decoder, *args):
+    """Run a decoder on outside input; what it refuses is a validation error."""
     try:
-        return decoder(data)
+        return decoder(*args)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -173,11 +151,9 @@ def _cmd_rootdatum(args):
         return {"valid": True, "rank": datum.rank, "roots": len(datum.roots)}
     if args.action == "dual":
         return dual(datum).to_json()
-    if args.action == "automorphisms":
-        autos = based_automorphisms(datum)
-        return {"count": len(autos),
-                "char_maps": [[list(r) for r in a.char_map] for a in autos]}
-    raise ValidationError(f"unknown rootdatum action {args.action!r}")
+    autos = based_automorphisms(datum)                  # automorphisms
+    return {"count": len(autos),
+            "char_maps": [[list(r) for r in a.char_map] for a in autos]}
 
 
 def _cmd_weyl(args):
@@ -187,69 +163,43 @@ def _cmd_weyl(args):
         return {"order": group.order,
                 "words": [list(w) for w in group.words]}
     if args.action == "length":
-        elt_data = _load_json(args.element)
-        if not (isinstance(elt_data, dict) and isinstance(elt_data.get("t"), list)):
-            raise ValidationError('an element is an object {"t": [...], "w_word": [...]}')
-        t = elt_data["t"]
-        if not (len(t) == datum.rank and all(type(v) is int for v in t)):
-            raise ValidationError(f"t must be a list of {datum.rank} integers")
         group = WeylGroup.build(datum)
-        try:
-            wi = group.index_of_word(elt_data.get("w_word"))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        elt = ExtAffineElt(tuple(t), group.element(wi))
-        return {"length": length(elt, datum)}
+        t, wi = _decode(key_from_json, group, _load_json(args.element))
+        return {"length": length(ExtAffineElt(t, group.element(wi)), datum)}
     if args.action == "stabilizer":
-        pt = _load_json(args.point)
-        if not (isinstance(pt, list) and len(pt) == datum.rank):
-            raise ValidationError(f"a point is a list of {datum.rank} eigenvalues")
-        pt = tuple(_decode(Eig.from_json, e) for e in pt)
+        pt = _decode(decode.list_of, _load_json(args.point), Eig.from_json, datum.rank,
+                     f"a point is a list of {datum.rank} eigenvalues")
         stab = stabilizer_of_point(datum, pt, projective=args.projective)
         return {"order": stab.order,
                 "generator_words": [list(g.word) for g in stab.generators]}
-    if args.action == "omega":
-        oms = omega_subgroup(datum)
-        return {"order": len(oms), "elements": [o.to_json() for o in oms]}
-    raise ValidationError(f"unknown weyl action {args.action!r}")
+    oms = omega_subgroup(datum)                         # omega
+    return {"order": len(oms), "elements": [o.to_json() for o in oms]}
 
 
 def _load_spec(source) -> HeckeSpec:
+    """A spec, or the split spec of a bare root datum."""
     data = _load_json(source)
-    if "labels" in data:
+    if decode.obj(data) and "labels" in data:
         return _decode(HeckeSpec.from_json, data)
     return HeckeSpec(_decode(BasedRootDatum.from_json, data))
 
 
-def _load_element(spec: HeckeSpec, source) -> HeckeElement:
-    return _decode(lambda data: HeckeElement.from_json(spec, data), _load_json(source))
-
-
 def _cmd_hecke(args):
     spec = _load_spec(args.spec)
+    a = _decode(HeckeElement.from_json, spec, _load_json(args.a))
     if args.action == "mul":
-        a = _load_element(spec, args.a)
-        b = _load_element(spec, args.b)
+        b = _decode(HeckeElement.from_json, spec, _load_json(args.b))
         return {"product": mul_im(spec, a, b).to_json()}
     if args.action == "center-check":
-        a = _load_element(spec, args.a)
         return {"central": is_central(spec, a)}
     if args.action == "ad-xg":
-        x_g = tuple(Fraction(v) for v in args.xg.split(","))
-        conj = ad_xg(spec, x_g)
-        a = _load_element(spec, args.a)
-        return {"image": conj(a).to_json()}
-    if args.action == "twist":
-        psi = _load_json(args.psi)
-        if not isinstance(psi, list):
-            raise ValidationError("psi is a list of coefficients, one per R-group element")
-        psi = [_decode(Cyclo.from_json, v) for v in psi]
-        target, tw = alpha_g_twist(spec, psi)
-        a = _load_element(spec, args.a)
-        return {"image": tw(a).to_json(),
-                "target_cocycle": [[list(k), v.to_json()]
-                                   for k, v in sorted(target.cocycle.items())]}
-    raise ValidationError(f"unknown hecke action {args.action!r}")
+        return {"image": ad_xg(spec, _decode(decode.rationals, args.xg))(a).to_json()}
+    psi = _decode(decode.list_of, _load_json(args.psi), Cyclo.from_json, None,  # twist
+                  "psi is a list of coefficients, one per R-group element")
+    target, tw = alpha_g_twist(spec, psi)
+    return {"image": tw(a).to_json(),
+            "target_cocycle": [[list(k), v.to_json()]
+                               for k, v in sorted(target.cocycle.items())]}
 
 
 def _cmd_finrep(args):
@@ -258,14 +208,12 @@ def _cmd_finrep(args):
         chars = irreducibles(group)
         return {"degrees": sorted(c.degree for c in chars),
                 "characters": [c.to_json() for c in chars]}
-    if args.action == "induce":
-        normal = frozenset(int(x) for x in args.normal.split(","))
-        sub_group, _ = group.subgroup_as_group(normal)
-        rho = _decode(lambda data: RepOrChar.from_json(sub_group, data), _load_json(args.rho))
-        ind, decomp = induce(group, normal, rho)
-        return {"induced": ind.to_json(),
-                "decomposition": [[c.to_json(), m] for c, m in decomp]}
-    raise ValidationError(f"unknown finrep action {args.action!r}")
+    normal = _decode(decode.index_set, args.normal, group.order)     # induce
+    sub_group, _ = group.subgroup_as_group(normal)
+    rho = _decode(RepOrChar.from_json, sub_group, _load_json(args.rho))
+    ind, decomp = induce(group, normal, rho)
+    return {"induced": ind.to_json(),
+            "decomposition": [[c.to_json(), m] for c, m in decomp]}
 
 
 def _cmd_param(args):
@@ -277,15 +225,11 @@ def _cmd_param(args):
                 "quotient_order": res.quotient_order(),
                 "group": res.group.to_json()}
     if args.action == "tau":
-        g = [[int(x) for x in block.split(",")] if block else []
-             for block in args.g.split(";")]
-        tau = tau_character(tag, phi, g, res)
+        tau = tau_character(tag, phi, _decode(decode.int_blocks, args.g), res)
         return {"values": [_cyclo_str(v) for v in tau.values]}
-    if args.action == "enhancements":
-        rel = relevant_enhancements(tag, phi, res)
-        return {"count": len(rel),
-                "characters": [[_cyclo_str(v) for v in r.values] for r in rel]}
-    raise ValidationError(f"unknown param action {args.action!r}")
+    rel = relevant_enhancements(tag, phi, res)          # enhancements
+    return {"count": len(rel),
+            "characters": [[_cyclo_str(v) for v in r.values] for r in rel]}
 
 
 def _cmd_pullback(args):
@@ -308,8 +252,6 @@ def _cmd_pullback(args):
 
 
 def _cmd_example(args):
-    if args.which != "sln":
-        raise ValidationError("only the sln example is available")
     n = args.n
     tag = GroupTag.single("SL", n)
     phi = ToyParameter.principal_cycle(tag)

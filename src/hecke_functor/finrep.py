@@ -19,10 +19,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from . import decode as dc
 from .numkernel import Cyclo, cyclo_root_of_unity
 
 __all__ = [
@@ -36,6 +37,12 @@ GROUP_SIZE_GUARD = 64
 
 class FinRepError(ValueError):
     pass
+
+
+def _size_guard(order: int) -> None:
+    """Refuse a group above the guard, before its table is built."""
+    if order > GROUP_SIZE_GUARD:
+        raise FinRepError("group larger than the desk guard")
 
 
 class FiniteGroup:
@@ -54,8 +61,7 @@ class FiniteGroup:
         self.order = len(self.table)
         if self.order == 0:
             raise FinRepError("empty table")
-        if self.order > GROUP_SIZE_GUARD:
-            raise FinRepError("group larger than the desk guard")
+        _size_guard(self.order)
         n = self.order
         for row in self.table:
             if len(row) != n or any(not 0 <= v < n for v in row):
@@ -179,10 +185,12 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroup":
+        _size_guard(n)
         return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
     @staticmethod
     def product(*groups: "FiniteGroup") -> "FiniteGroup":
+        _size_guard(prod(g.order for g in groups))
         elements = list(itertools.product(*[range(g.order) for g in groups]))
         index = {e: i for i, e in enumerate(elements)}
         table = [[index[tuple(g.mul(a[k], b[k]) for k, g in enumerate(groups))]
@@ -191,6 +199,7 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
+        _size_guard(factorial(n) if 0 <= n <= GROUP_SIZE_GUARD else n)    # n! >= n
         perms = list(itertools.permutations(range(n)))
         def mul(p, q):
             return tuple(p[q[i]] for i in range(n))
@@ -199,6 +208,7 @@ class FiniteGroup:
     @staticmethod
     def dihedral(n: int) -> "FiniteGroup":
         """Order 2n: (r, f) with f in {0,1}."""
+        _size_guard(2 * n)
         elements = [(r, f) for f in (0, 1) for r in range(n)]
         def mul(a, b):
             r1, f1 = a
@@ -216,17 +226,13 @@ class FiniteGroup:
     @staticmethod
     def from_json(data) -> "FiniteGroup":
         """Decode the form `to_json` writes; FinRepError on any other shape."""
-        if not (isinstance(data, dict) and isinstance(data.get("table"), list)
-                and all(isinstance(row, list) and all(type(v) is int for v in row)
-                        for row in data["table"])
-                and isinstance(data.get("subgroups", {}), dict)
-                and all(isinstance(elems, list)
-                        and all(type(v) is int and 0 <= v < len(data["table"])
-                                for v in elems)
-                        for elems in data.get("subgroups", {}).values())):
+        if not (dc.obj(data, "table") and dc.int_rows(data["table"])
+                and dc.obj(subgroups := data.get("subgroups", {}))
+                and all(dc.int_list(elems) and all(0 <= v < len(data["table"]) for v in elems)
+                        for elems in subgroups.values())):
             raise FinRepError('a group is an object {"table": [[int, ...], ...], '
                               '"subgroups": {name: [element, ...]}}')
-        return FiniteGroup(data["table"], data.get("subgroups", {}))
+        return FiniteGroup(data["table"], subgroups)
 
 
 @dataclass(frozen=True)
@@ -289,7 +295,7 @@ class RepOrChar:
     @staticmethod
     def from_json(group: FiniteGroup, data) -> "RepOrChar":
         """Decode one value per group element; ValueError on any other shape."""
-        if not (isinstance(data, list) and len(data) == group.order):
+        if not dc.is_list(data, group.order):
             raise FinRepError(f"a character is a list of {group.order} values")
         return RepOrChar(group, tuple(Cyclo.from_json(v) for v in data))
 

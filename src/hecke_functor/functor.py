@@ -15,7 +15,7 @@ multiset of enhancements on the domain side with multiplicities
     m(rho, rho~) = dim Hom(rho, (rho~ o iota) (x) twist).
 
 The twist is pinned to the direction in which Ad(t) sends an enhancement
-rho to rho (x) tau(t)^-1; `flip_twist=True` flips it for cross-checks.
+rho to rho (x) tau(t)^-1.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from . import decode as dc
 from . import intlattice as il
 from .finrep import RepOrChar, character_product, hom_mult, irreducibles
 from .lparam import (
@@ -441,22 +442,22 @@ class SMapData:
     def index(self) -> int:
         return self.comp_dom.order // self.comp_cod.order
 
-    def pullback(self, rho_dom: RepOrChar, flip_twist: bool = False) -> RepOrChar:
+    def pullback(self, rho_dom: RepOrChar) -> RepOrChar:
         """(rho~ o iota) (x) twist as a character of S(phi_cod)."""
-        return _pull(rho_dom, self.element_map, self.twist, -1 if flip_twist else 1)
+        return _pull(rho_dom, self.element_map, self.twist)
 
 
-def smap(f: GroupHomDesc, phi: ToyParameter, flip_twist: bool = False) -> SMapData:
+def smap(f: GroupHomDesc, phi: ToyParameter) -> SMapData:
     """Injection S(phi) -> S(phi~) with its accumulated Ad-twist.
 
-    Built once per (step chain, phi, flip_twist): the result is frozen, so
-    every caller shares it."""
+    Built once per (step chain, phi): the result is frozen, so every caller
+    shares it."""
     f.lattice_map      # admissibility gate
-    return _smap(f.steps, phi, flip_twist)
+    return _smap(f.steps, phi)
 
 
 @lru_cache(maxsize=256)
-def _smap(steps: tuple[_Step, ...], phi: ToyParameter, flip_twist: bool) -> SMapData:
+def _smap(steps: tuple[_Step, ...], phi: ToyParameter) -> SMapData:
     # bounded, since maps and parameters read from JSON are unbounded in number
     cur_tag, cur_phi = steps[-1].cod, phi
     comp_cod = cur_comp = component_group(cur_tag, phi)
@@ -465,7 +466,7 @@ def _smap(steps: tuple[_Step, ...], phi: ToyParameter, flip_twist: bool) -> SMap
     for step in reversed(steps):
         if step.kind == "ad":
             tau = tau_character(cur_tag, cur_phi, step.ad_vector, cur_comp)
-            taus.append((tau, elt_map, -1 if flip_twist else 1))
+            taus.append((tau, elt_map, 1))
             continue
         phi_next = step.pull_param(cur_phi)
         comp_next = component_group(step.dom, phi_next)
@@ -476,8 +477,7 @@ def _smap(steps: tuple[_Step, ...], phi: ToyParameter, flip_twist: bool) -> SMap
                     character_product(comp_cod.group, taus))
 
 
-def conjA_decompose(f: GroupHomDesc, phi: ToyParameter, rho: RepOrChar,
-                    flip_twist: bool = False
+def conjA_decompose(f: GroupHomDesc, phi: ToyParameter, rho: RepOrChar
                     ) -> list[tuple[ToyParameter, RepOrChar, int]]:
     """Decompose the pullback of the enhanced parameter (phi, rho).
 
@@ -490,7 +490,7 @@ def conjA_decompose(f: GroupHomDesc, phi: ToyParameter, rho: RepOrChar,
     data = smap(f, phi)
     out = []
     for rho_t in irreducibles(data.comp_dom.group):
-        m = hom_mult(rho, data.pullback(rho_t, flip_twist=flip_twist))
+        m = hom_mult(rho, data.pullback(rho_t))
         if m:
             out.append((data.phi_dom, rho_t, m))
     # relevance of the outputs and the dimension count
@@ -535,9 +535,9 @@ def check_transitivity(f: GroupHomDesc, q: GroupHomDesc, phi: ToyParameter,
     return True
 
 
-def _pull(rho_t: RepOrChar, elt_map, twist: RepOrChar, sign: int = 1) -> RepOrChar:
-    """(rho~ o elt_map) (x) twist^sign as a character of the twist's group."""
-    return character_product(twist.group, [(rho_t, elt_map, 1), (twist, None, sign)])
+def _pull(rho_t: RepOrChar, elt_map, twist: RepOrChar) -> RepOrChar:
+    """(rho~ o elt_map) (x) twist as a character of the twist's group."""
+    return character_product(twist.group, [(rho_t, elt_map, 1), (twist, None, 1)])
 
 
 def _decompose_via(elt_map, twist: RepOrChar, data: SMapData, rho: RepOrChar):
@@ -571,28 +571,23 @@ def hom_to_json(f: GroupHomDesc):
 def _is_step(e) -> bool:
     """Is e a JSON step {"kind", "dom", "dom_zeta"?} with the fields its kind
     reads?"""
-    if not (isinstance(e, dict) and isinstance(e.get("kind"), str)
-            and isinstance(e.get("dom"), list) and _is_int_list(e.get("dom_zeta") or [])
-            and all(isinstance(f, list) and len(f) == 2 and isinstance(f[0], str)
-                    and type(f[1]) is int for f in e["dom"])):
+    if not (dc.obj(e, "dom") and isinstance(e.get("kind"), str)
+            and dc.int_list(e.get("dom_zeta") or [])
+            and all(dc.pair(f) and isinstance(f[0], str) and type(f[1]) is int
+                    for f in e["dom"])):
         return False
     if e["kind"] in ("sl_gl", "gl_pgl", "sl_pgl"):
         return bool(e["dom"])
     if e["kind"] == "ad":
-        return isinstance(e.get("g"), list) and all(map(_is_int_list, e["g"]))
+        return dc.int_rows(e.get("g"))
     if e["kind"] == "torus_ins":
         return type(e.get("torus_rank")) is int
     return True
 
 
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(type(x) is int for x in v)
-
-
 def hom_from_json(data) -> GroupHomDesc:
     """Decode the form `hom_to_json` writes; FunctorError on any other shape."""
-    if not (isinstance(data, dict) and isinstance(data.get("steps"), list)
-            and all(map(_is_step, data["steps"]))):
+    if not (dc.obj(data, "steps") and all(map(_is_step, data["steps"]))):
         raise FunctorError('a homomorphism is an object {"steps": [{"kind": ..., '
                            '"dom": [[kind, n], ...], "dom_zeta": [...]}, ...]}')
     out = None

@@ -34,6 +34,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
+from . import decode as dc
 from . import intlattice as il
 from .intlattice import IntMatrix
 from .numkernel import Cyclo, LaurentPoly
@@ -41,7 +42,8 @@ from .rootdata import BasedRootDatum
 from .weyl import WeylGroup, _length_indexed, affine_simple_reflections
 
 __all__ = [
-    "HeckeError", "HeckeSpec", "HeckeElement", "basis_product", "mul_im", "theta",
+    "HeckeError", "HeckeSpec", "HeckeElement", "key_from_json", "basis_product",
+    "mul_im", "theta",
     "blz_check", "is_central", "ad_xg", "alpha_g_twist",
     "GradedSpec", "GradedElement", "graded_mul",
     "intermediate_algebra", "hom_from_big", "IntermediateAlgebra",
@@ -367,34 +369,24 @@ class HeckeSpec(_SpecBase):
     def from_json(data) -> "HeckeSpec":
         """Decode the form `to_json` writes; HeckeError on any other shape."""
         fields = ("labels", "params", "rgroup", "cocycle")
-        if not (isinstance(data, dict) and all(isinstance(data.get(k), list) for k in fields)):
+        if not dc.obj(data, *fields):
             raise HeckeError(f"a spec is an object with a datum and the lists {', '.join(fields)}")
         datum = BasedRootDatum.from_json(data.get("datum"))
         r = datum.rank
-        if not all(_is_pair(e) and type(e[0]) is int and _is_ints(e[1], 2)
+        if not all(dc.pair(e) and type(e[0]) is int and dc.int_list(e[1], 2)
                    for e in data["labels"]):
             raise HeckeError("labels must be [root index, [label, label*]] pairs")
-        if not all(_is_pair(e) and type(e[0]) is int and isinstance(e[1], str)
+        if not all(dc.pair(e) and type(e[0]) is int and isinstance(e[1], str)
                    for e in data["params"]):
             raise HeckeError("params must be [component, name] pairs")
-        if not all(isinstance(g, list) and len(g) == r and all(_is_ints(row, r) for row in g)
-                   for g in data["rgroup"]):
+        if not all(dc.is_list(g, r) and dc.int_rows(g, r) for g in data["rgroup"]):
             raise HeckeError(f"rgroup must be a list of {r}x{r} integer matrices")
-        if not all(_is_pair(e) and _is_ints(e[0], 2) for e in data["cocycle"]):
+        if not all(dc.pair(e) and dc.int_list(e[0], 2) for e in data["cocycle"]):
             raise HeckeError("cocycle must be [[i, j], value] pairs")
         return HeckeSpec(datum, labels={i: tuple(v) for i, v in data["labels"]},
                          params=dict(data["params"]),
                          rgroup=[tuple(map(tuple, g)) for g in data["rgroup"]],
                          cocycle={tuple(k): Cyclo.from_json(v) for k, v in data["cocycle"]})
-
-
-def _is_pair(v) -> bool:
-    return isinstance(v, list) and len(v) == 2
-
-
-def _is_ints(v, n: int) -> bool:
-    """Is v a JSON list of n integers?"""
-    return isinstance(v, list) and len(v) == n and all(type(x) is int for x in v)
 
 
 _SCALARS = (int, Fraction, Cyclo, LaurentPoly)
@@ -506,24 +498,32 @@ class HeckeElement(Combination):
             raise HeckeError("an element is a list of [key, polynomial] terms")
         terms = {}
         for term in data:
-            if not (_is_pair(term) and isinstance(term[0], dict)):
+            if not (dc.pair(term) and isinstance(term[0], dict)):
                 raise HeckeError("each term must be a [key, polynomial] pair")
             key_data, poly_data = term
-            t = key_data.get("t")
-            if not _is_ints(t, spec.datum.rank):
-                raise HeckeError(f"t must be a list of {spec.datum.rank} integers")
+            t, wi = key_from_json(spec.weyl, key_data)
             r = key_data.get("r", spec.r_identity)
             if type(r) is not int or not 0 <= r < len(spec.rgroup):
                 raise HeckeError(f"r must be an R-group index below {len(spec.rgroup)}")
-            key = (tuple(t), spec.weyl.index_of_word(key_data.get("w_word")), r)
-            if _length_indexed(spec.weyl, key[0], key[1]) > KEY_LENGTH_GUARD:
+            if _length_indexed(spec.weyl, t, wi) > KEY_LENGTH_GUARD:
                 raise HeckeError(f"a basis key longer than {KEY_LENGTH_GUARD}")
             poly = LaurentPoly.from_json(poly_data)
             if poly.vars != spec.zvars:
                 raise HeckeError(f"a coefficient must be a polynomial in {list(spec.zvars)}, "
                                  f"not in {list(poly.vars)}")
-            terms[key] = poly
+            terms[(t, wi, r)] = poly
         return HeckeElement(spec, terms)
+
+
+def key_from_json(weyl: WeylGroup, data) -> tuple[tuple[int, ...], int]:
+    """(t, index of w) of the element t_x w given as {"t": [...], "w_word":
+    [...]}; HeckeError on another shape, ValueError on a letter out of range."""
+    if not isinstance(data, dict):
+        raise HeckeError('an element is an object {"t": [...], "w_word": [...]}')
+    t, rank = data.get("t"), weyl.datum.rank
+    if not dc.int_list(t, rank):
+        raise HeckeError(f"t must be a list of {rank} integers")
+    return tuple(t), weyl.index_of_word(data.get("w_word"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ SL_n(C).  For GL- and PGL-type factors the relevant fixed-list stabilizer is
 a product of blocks intersected with the determinant-one hyperplane, which
 is connected, so the contribution is trivial.  For an SL-type factor with a
 multiplicity-free list the components correspond to the pairs (w, lambda)
-with w(list) = lambda * (list) coordinatewise; the group law is checked by
-multiplying canonical determinant-one monomial representatives.  The
-characters tau(g) are obtained by pairing g with the commutator cocycle
-c_h(Fr) = h phi(Fr) h^-1 phi(Fr)^-1, a root of unity scalar.
+with w(list) = lambda * (list) coordinatewise; the group law is the product
+table of the permutation parts w.  The characters tau(g) are obtained by
+pairing g with the commutator cocycle c_h(Fr) = h phi(Fr) h^-1 phi(Fr)^-1,
+the root of unity lambda of the pair (w, lambda).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
+from . import decode as dc
 from .finrep import FiniteGroup, RepOrChar, irreducibles
-from .numkernel import Cyclo
 from .weyl import Eig
 
 __all__ = [
@@ -215,87 +215,6 @@ class ComponentGroupResult:
         return any(self.group.element_order(i) == self.group.order
                    for i in range(self.group.order))
 
-    def representative_matrix(self, element: int, factor: int):
-        """Canonical determinant-one monomial representative over Cyclo.
-
-        Per factor the generator of the cyclic component group gets one fixed
-        monomial matrix; other components use its powers, so canonical
-        representatives commute on the nose.
-        """
-        fc = self.factors[factor]
-        if fc.kind != "SL" or fc.size == 1:
-            n = max(fc.n, 1)
-            return _identity_matrix(n)
-        gen = _cyclic_generator_index(fc)
-        base = _monomial_matrix(fc.pairs[gen][0])
-        # element's factor component = gen^a for some a
-        target = self.elements[element][factor]
-        power = 0
-        cur = next(k for k, (w, _) in enumerate(fc.pairs)
-                   if w == tuple(range(fc.n)))
-        mat = _identity_matrix(fc.n)
-        while cur != target:
-            mat = _mat_mul_cyclo(mat, base)
-            wc = tuple(fc.pairs[cur][0][fc.pairs[gen][0][i]] for i in range(fc.n))
-            cur = next(k for k, (w, _) in enumerate(fc.pairs) if w == wc)
-            power += 1
-            if power > fc.size:
-                raise LParamError("internal: component group is not cyclic")
-        return mat
-
-
-def _identity_matrix(n: int):
-    return tuple(tuple(Cyclo.rational(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
-def _monomial_matrix(w: tuple[int, ...]):
-    """P_w with a sign fix in the first column so the determinant is one."""
-    n = len(w)
-    sign = _perm_sign(w)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if w[j] == i:
-                v = Cyclo.rational(sign if j == 0 else 1)
-            else:
-                v = Cyclo.rational(0)
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _perm_sign(w: Sequence[int]) -> int:
-    s = 1
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                s = -s
-    return s
-
-
-def _mat_mul_cyclo(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           Cyclo.rational(0)) for j in range(n))
-                 for i in range(n))
-
-
-def _cyclic_generator_index(fc: FactorComponents) -> int:
-    """Index of a generating pair of the cyclic pair group."""
-    m = fc.size
-    for k, (w, lam) in enumerate(fc.pairs):
-        # order of the permutation w
-        order, cur = 1, w
-        ident = tuple(range(fc.n))
-        while cur != ident:
-            cur = tuple(w[cur[i]] for i in range(fc.n))
-            order += 1
-        if order == m:
-            return k
-    raise LParamError("internal: multiplicity-free component group must be cyclic")
-
 
 @lru_cache(maxsize=256)
 def _sl_factor_components(eigs: tuple[Eig, ...]) -> FactorComponents:
@@ -436,14 +355,13 @@ def parameter_to_json(tag: GroupTag, phi: ToyParameter):
 def parameter_from_json(data) -> tuple[GroupTag, ToyParameter]:
     """Decode the form `parameter_to_json` writes; LParamError on any other
     shape."""
-    if not (isinstance(data, dict) and isinstance(data.get("factors"), list)
-            and all(isinstance(fac, dict) and fac.get("tag") in _KIND_FROM_JSON
-                    and type(fac.get("n")) is int and isinstance(fac.get("eigs"), list)
-                    for fac in data["factors"])):
+    if not (dc.obj(data, "factors")
+            and all(dc.obj(fac, "eigs") and fac.get("tag") in _KIND_FROM_JSON
+                    and type(fac.get("n")) is int for fac in data["factors"])):
         raise LParamError('a parameter is an object {"factors": [{"tag": "GLn" | "SLn" | '
                           '"PGLn" | "Torus", "n": size, "eigs": [...]}, ...], "zeta": [...]}')
     zeta = data.get("zeta") or [0] * len(data["factors"])
-    if not (isinstance(zeta, list) and all(type(z) is int for z in zeta)):
+    if not dc.int_list(zeta):
         raise LParamError("zeta must be a list of integers")
     kinds = [(_KIND_FROM_JSON[fac["tag"]], fac["n"]) for fac in data["factors"]]
     lists = [[Eig.from_json(e) for e in fac["eigs"]] for fac in data["factors"]]

@@ -33,6 +33,8 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
+from . import decode as dc
+
 __all__ = [
     "Cyclo",
     "LaurentPoly",
@@ -414,10 +416,9 @@ class Cyclo:
     @staticmethod
     def from_json(data) -> "Cyclo":
         """Decode the form `to_json` writes; ValueError on any other shape."""
-        if not (isinstance(data, dict) and type(data.get("n")) is int
-                and isinstance(data.get("coeffs"), list)
-                and all(isinstance(kv, list) and len(kv) == 2 and type(kv[0]) is int
-                        and type(kv[1]) in (int, str) for kv in data["coeffs"])):
+        if not (dc.obj(data, "coeffs") and type(data.get("n")) is int
+                and all(dc.pair(kv) and type(kv[0]) is int and type(kv[1]) in (int, str)
+                        for kv in data["coeffs"])):
             raise ValueError('a coefficient is an object {"n": conductor, '
                              '"coeffs": [[power, "p/q"], ...]}')
         n = data["n"]
@@ -795,22 +796,16 @@ class LaurentPoly:
     @staticmethod
     def from_json(data) -> "LaurentPoly":
         """Decode the form `to_json` writes; ValueError on any other shape."""
-        if not (isinstance(data, dict) and isinstance(data.get("vars"), list)
+        if not (dc.obj(data, "vars", "terms")
                 and all(isinstance(v, str) for v in data["vars"])
-                and len(set(data["vars"])) == len(data["vars"])
-                and isinstance(data.get("terms"), list)):
+                and len(set(data["vars"])) == len(data["vars"])):
             raise ValueError('a polynomial is an object {"vars": [distinct names], '
                              '"terms": [[exponents, coefficient], ...]}')
         vs = tuple(data["vars"])
-        terms = {}
-        for term in data["terms"]:
-            if not (isinstance(term, list) and len(term) == 2
-                    and isinstance(term[0], list) and len(term[0]) == len(vs)
-                    and all(type(k) is int for k in term[0])):
-                raise ValueError(f"each polynomial term is a pair [exponents, coefficient] "
-                                 f"with {len(vs)} integer exponents")
-            terms[tuple(term[0])] = Cyclo.from_json(term[1])
-        return LaurentPoly(vs, terms)
+        if not all(dc.pair(term) and dc.int_list(term[0], len(vs)) for term in data["terms"]):
+            raise ValueError(f"each polynomial term is a pair [exponents, coefficient] "
+                             f"with {len(vs)} integer exponents")
+        return LaurentPoly(vs, {tuple(e): Cyclo.from_json(c) for e, c in data["terms"]})
 
 
 def laurent_eval(p: LaurentPoly, point: Mapping[str, Cyclo]) -> Cyclo:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
+from . import decode as dc
 from . import intlattice as il
 from .intlattice import IntMatrix
 
@@ -205,17 +206,15 @@ class BasedRootDatum:
     @staticmethod
     def from_json(data) -> "BasedRootDatum":
         """Decode the form `to_json` writes; RootDatumError on any other shape."""
-        if not (isinstance(data, dict) and type(data.get("rank")) is int
-                and data["rank"] >= 0):
+        if not (dc.obj(data) and type(data.get("rank")) is int and data["rank"] >= 0):
             raise RootDatumError('a root datum is an object {"rank": r, "roots": [...], '
                                  '"coroots": [...], "simples": [...]}')
         rank = data["rank"]
         for key in ("roots", "coroots"):
-            if not _is_int_rows(data.get(key), rank):
+            if not dc.int_rows(data.get(key), rank):
                 raise RootDatumError(f"{key} must be a list of vectors of {rank} integers")
         roots, simples = data["roots"], data.get("simples")
-        if not (isinstance(simples, list)
-                and all(type(i) is int and 0 <= i < len(roots) for i in simples)):
+        if not (dc.int_list(simples) and all(0 <= i < len(roots) for i in simples)):
             raise RootDatumError(f"simples must be a list of root indices below {len(roots)}")
         return BasedRootDatum(rank, tuple(map(tuple, roots)),
                               tuple(map(tuple, data["coroots"])), tuple(simples))
@@ -260,13 +259,6 @@ def _valid_by_construction(datum: BasedRootDatum) -> BasedRootDatum:
     equality and hashing ignore it."""
     object.__setattr__(datum, "_by_construction", True)
     return datum
-
-
-def _is_int_rows(rows, width: int) -> bool:
-    """Is `rows` a JSON list of lists of `width` integers each?"""
-    return isinstance(rows, list) and all(
-        isinstance(r, list) and len(r) == width and all(type(x) is int for x in r)
-        for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +417,11 @@ class RDMorphism:
     char_map: IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "char_map", tuple(map(tuple, self.char_map)))
-        rows = len(self.char_map)
-        cols = len(self.char_map[0]) if rows else 0
-        if rows != self.source.rank or (rows and cols != self.target.rank):
-            if not (rows == 0 and self.source.rank == 0):
-                raise RootDatumError("char_map shape does not match the data")
+        char_map = tuple(map(tuple, self.char_map))
+        object.__setattr__(self, "char_map", char_map)
+        s, t = self.source.rank, self.target.rank
+        if len(char_map) != s or any(len(row) != t for row in char_map):
+            raise RootDatumError(f"char_map must be a {s} x {t} integer matrix")
 
     @property
     def cochar_map(self) -> IntMatrix:
@@ -470,17 +461,15 @@ class RDMorphism:
     @staticmethod
     def from_json(data) -> "RDMorphism":
         """Decode the form `to_json` writes; RootDatumError on any other shape."""
-        if not (isinstance(data, dict)
-                and all(k in data for k in ("source", "target", "char_map"))):
+        if not (dc.obj(data) and all(k in data for k in ("source", "target", "char_map"))):
             raise RootDatumError('a morphism is an object {"source": datum, '
                                  '"target": datum, "char_map": [[...], ...]}')
         source = BasedRootDatum.from_json(data["source"])
         target = BasedRootDatum.from_json(data["target"])
-        char_map = data["char_map"]
-        if not (_is_int_rows(char_map, target.rank) and len(char_map) == source.rank):
+        if not dc.int_rows(data["char_map"]):
             raise RootDatumError(f"char_map must be a {source.rank} x {target.rank} "
                                  "integer matrix")
-        return RDMorphism(source, target, tuple(map(tuple, char_map)))
+        return RDMorphism(source, target, data["char_map"])
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
+from . import decode as dc
 from . import intlattice as il
 from .intlattice import IntMatrix
 from .rootdata import BasedRootDatum, RootDatumError
@@ -346,8 +347,7 @@ class Eig:
     @staticmethod
     def from_json(data) -> "Eig":
         """Decode the form `to_json` writes; ValueError on any other shape."""
-        if not (isinstance(data, dict)
-                and all(type(data.get(k)) in (int, str) for k in ("q", "angle"))):
+        if not (dc.obj(data) and all(type(data.get(k)) in (int, str) for k in ("q", "angle"))):
             raise ValueError('an eigenvalue is an object {"q": "p/q", "angle": "p/q"}')
         try:
             return Eig(Fraction(data["q"]), Fraction(data["angle"]))

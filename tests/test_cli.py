@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hecke_functor.cli import main
 from hecke_functor.hecke import KEY_LENGTH_GUARD
@@ -205,9 +209,29 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     ["finrep", "induce", "--group", "group:z4", "--normal", "0,2", "--rho", "[5]"],
     # a spec without a datum
     ["hecke", "mul", "--spec", '{"labels":5}', "--a", "[]", "--b", "[]"],
+    # a spec file that holds a number
+    ["hecke", "mul", "--spec", "<file holding 5>", "--a", "[]", "--b", "[]"],
+    # fixture names outside the grammar
+    ["weyl", "enumerate", "--in", "datum:"],
+    ["weyl", "enumerate", "--in", "datum:glx"],
+    ["param", "component-group", "--param", "param:slnx"],
+    # element indices outside the group, or not integers
+    ["finrep", "induce", "--group", "group:s3", "--normal", "0,9", "--rho", "[]"],
+    ["finrep", "induce", "--group", "group:s3", "--normal", "-1", "--rho", "[]"],
+    ["finrep", "induce", "--group", "group:s3", "--normal", "a,b", "--rho", "[]"],
+    ["finrep", "induce", "--group", "group:s3", "--rho", "[]"],
+    # a cocharacter that is not integers
+    ["param", "tau", "--param", "param:sln3", "--g", "x"],
+    # an x_g that is not rationals, or has a zero denominator
+    ["hecke", "ad-xg", "--spec", "datum:a1ad", "--xg", "abc", "--a", "[]"],
+    ["hecke", "ad-xg", "--spec", "datum:a1ad", "--xg", "1/0", "--a", "[]"],
+    ["hecke", "ad-xg", "--spec", "datum:a1ad", "--a", "[]"],
 ])
-def test_malformed_element_is_refused(args, capsys):
-    code, out, err = run_cli(args, capsys)
+def test_malformed_element_is_refused(args, capsys, tmp_path):
+    five = tmp_path / "five.json"
+    five.write_text("5")
+    code, out, err = run_cli([str(five) if a == "<file holding 5>" else a for a in args],
+                             capsys)
     assert code == 2
     assert err.startswith("validation error")
     assert out == ""
@@ -297,6 +321,25 @@ def test_fixture_directory_env(tmp_path, capsys, monkeypatch):
     assert data["order"] == 8
 
 
+def test_unreadable_inputs_are_refused(tmp_path, capsys, monkeypatch):
+    # a fixture-directory file, a file and a directory read through one path
+    (tmp_path / "broken.json").write_text("{bad")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    monkeypatch.setenv("HECKE_FUNCTOR_FIXTURES", str(tmp_path))
+    for source in ("broken", "binary", str(tmp_path / "broken.json"), str(tmp_path)):
+        code, out, err = run_cli(["weyl", "enumerate", "--in", source], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("validation error")
+        assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["group:s9", "group:z100000", "group:d100000"])
+def test_a_group_fixture_above_the_guard_is_refused_before_its_table(name, capsys):
+    code, out, err = run_cli(["finrep", "irreducibles", "--group", name], capsys)
+    assert (code, out) == (1, "")
+    assert err == "computation error: group larger than the desk guard\n"
+
+
 def test_json_round_trip_of_emitted_values(capsys):
     # everything the CLI emits re-parses to an equal value
     for args in (["rootdatum", "build", "--family", "A", "--n", "2",
@@ -348,3 +391,42 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert fresh(refused) == (2, "", refusal)
     assert in_process == [fresh(request) for request in requests]
     assert fresh(["--help"]) == (0, help_text, "")
+
+
+# fixture names the grammar accepts; any other name with a fixture prefix is refused
+_WELL_FORMED = re.compile(r"datum:gl-?[0-9]+|datum:[A-Za-z]-?[0-9]+[a-z]{2}"
+                          r"|group:[sdz]-?[0-9]+|param:sln-?[0-9]+")
+_ARG_TEXT = st.text(alphabet=st.sampled_from("0123456789-+/,;. ax_\u0663\n"), max_size=10) | \
+    st.text(max_size=6)
+
+
+def _one_line_refusal(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (1, 2), (argv, code)
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix=st.sampled_from(["datum:", "datum:gl", "datum:a", "group:", "group:s",
+                               "param:", "param:sln"]),
+       rest=_ARG_TEXT)
+def test_malformed_fixture_names_are_refused_on_one_line(prefix, rest):
+    name = prefix + rest
+    assume(not _WELL_FORMED.fullmatch(name) and not os.path.exists(name))
+    _one_line_refusal(["weyl", "enumerate", "--in", name])
+    _one_line_refusal(["param", "component-group", "--param", name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(normal=_ARG_TEXT, g=_ARG_TEXT, xg=_ARG_TEXT)
+def test_malformed_number_lists_are_refused_on_one_line(normal, g, xg):
+    # a trailing ',' leaves an empty entry and a trailing '/' an empty
+    # denominator, so each string is malformed whatever precedes it
+    _one_line_refusal(["finrep", "induce", "--group", "group:s3", f"--normal={normal},",
+                       "--rho", "[]"])
+    _one_line_refusal(["param", "tau", "--param", "param:sln3", f"--g={g},"])
+    _one_line_refusal(["hecke", "ad-xg", "--spec", "datum:a1ad", f"--xg={xg}/", "--a", "[]"])

@@ -1,11 +1,15 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecke_functor import finrep, functor, lparam, rootdata
-from hecke_functor.finrep import FiniteGroup, RepOrChar, induce, irreducibles
+from hecke_functor.acceptance import _chain_catalog
+from hecke_functor.finrep import (
+    FiniteGroup, RepOrChar, character_product, hom_mult, induce, irreducibles,
+)
 from hecke_functor.lparam import (
     GroupTag, ToyParameter, component_group, parameter_from_json, relevant_enhancements,
 )
@@ -14,7 +18,7 @@ from hecke_functor.rootdata import is_condition1
 from hecke_functor.functor import (
     FunctorError, check_transitivity, compose, conjA_decompose, hom_ad,
     hom_dual_automorphism, hom_from_json, hom_gl_to_pgl, hom_identity, hom_sl_to_gl,
-    hom_sl_to_pgl, hom_torus_insertion, hom_torus_projection, lmap_param,
+    hom_sl_to_pgl, hom_to_json, hom_torus_insertion, hom_torus_projection, lmap_param,
     packet_union_check, smap, tag_root_datum,
 )
 from hecke_functor.weyl import Eig
@@ -171,10 +175,12 @@ def test_conjA_ad_shifts_enhancement():
             _, rho_t, m = out[0]
             assert m == 1
             assert rho_t.values[gen] == zeta * rho.values[gen]
-        # the flipped convention gives zeta^{-1} tau
+        # the opposite convention, (rho~ o iota) (x) twist^-1, gives zeta^{-1} tau
         rho = relevant_enhancements(tag, phi, res)[0]
-        out = conjA_decompose(f, phi, rho, flip_twist=True)
-        _, rho_t, _ = out[0]
+        data = smap(f, phi)
+        (rho_t,) = [r for r in irreducibles(data.comp_dom.group)
+                    if hom_mult(rho, character_product(data.twist.group, [
+                        (r, data.element_map, 1), (data.twist, None, -1)]))]
         assert rho_t.values[gen] == zeta.inverse() * rho.values[gen]
 
 
@@ -421,20 +427,6 @@ def test_smap_data_is_frozen_and_shared():
     assert smap(hom_ad(tag, [[1, 0, 0]]), phi) is data
 
 
-def test_flipped_twist_is_memoised_apart():
-    n = 3
-    tag, phi = principal_sl(n)
-    f = hom_ad(tag, [[1, 0, 0]])
-    plain, flipped = smap(f, phi), smap(f, phi, flip_twist=True)
-    assert plain is smap(f, phi) and flipped is smap(f, phi, flip_twist=True)
-    assert plain is not flipped
-    assert plain.twist != flipped.twist
-    assert all(b == a.inverse() for a, b in zip(plain.twist.values, flipped.twist.values))
-    gen = _standard_cycle_index(plain.comp_cod)
-    assert plain.twist.values[gen] == cyclo_root_of_unity(n - 1, n)
-    assert flipped.twist.values[gen] == cyclo_root_of_unity(1, n)
-
-
 def _decompositions():
     """Every relevant enhancement's decomposition along a few maps, as text."""
     out = []
@@ -446,9 +438,8 @@ def _decompositions():
                        (compose(hom_ad(tag_sl, [[2] + [0] * (n - 1)]), hom_sl_to_gl(n)), phi_gl),
                        (hom_dual_automorphism(tag_gl), phi_gl)]:
             for rho in relevant_enhancements(f.target, phi):
-                for flip in (False, True):
-                    out.append(sorted((repr(p.factors), repr(r.values), m)
-                                      for p, r, m in conjA_decompose(f, phi, rho, flip)))
+                out.append(sorted((repr(p.factors), repr(r.values), m)
+                                  for p, r, m in conjA_decompose(f, phi, rho)))
     return out
 
 
@@ -545,3 +536,27 @@ def test_ad_blocks_must_match_their_factors():
     for g in ([[1, 2, 3, 4, 5], [0, 0]], [[1, 2], [0, 0]]):
         with pytest.raises(FunctorError, match="Ad block"):
             hom_ad(tag, g)
+
+
+# ---------------------------------------------------------------------------
+# JSON form of a homomorphism
+
+
+def _json_maps():
+    sl3, gl3 = GroupTag.single("SL", 3), GroupTag.single("GL", 3)
+    maps = {f"catalog n={n} #{i}": f
+            for n in (2, 3, 4) for i, f in enumerate(_chain_catalog(n))}
+    maps["torus projection"] = hom_torus_projection(GroupTag((("GL", 2), ("T", 1)), (0, 0)))
+    maps["flip, label 1"] = hom_dual_automorphism(GroupTag.single("GL", 3, 1))
+    maps["Ad then inclusion"] = compose(hom_ad(sl3, [[1, 0, 0]]), hom_sl_to_gl(3))
+    maps["inclusion then Ad then quotient"] = compose(
+        compose(hom_sl_to_gl(3), hom_ad(gl3, [[0, 2, 0]])), hom_gl_to_pgl(3))
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(_json_maps()))
+def test_hom_json_round_trip(name):
+    f = _json_maps()[name]
+    back = hom_from_json(json.loads(json.dumps(hom_to_json(f))))
+    assert back.steps == f.steps
+    assert (back.source, back.target) == (f.source, f.target)

@@ -10,7 +10,7 @@ from hecke_functor.numkernel import Cyclo, cyclo_root_of_unity
 from hecke_functor.lparam import (
     GroupTag, LParamError, ToyParameter, component_group,
     parameter_from_json, parameter_to_json, relevant_enhancements,
-    tau_character, _mat_mul_cyclo,
+    tau_character,
 )
 from hecke_functor.weyl import Eig
 
@@ -231,41 +231,7 @@ def test_irrelevant_for_inner_twist():
 
 
 # ---------------------------------------------------------------------------
-# matrix representatives
-
-
-def test_commutator_pairing_sanity():
-    # matrix commutators of canonical representatives are scalar root-of-unity
-    # matrices agreeing with the component-level commutator pairing (trivial
-    # for these cyclic groups)
-    for n in (2, 3, 4, 6):
-        tag, phi = principal(n)
-        res = component_group(tag, phi)
-        mats = [res.representative_matrix(i, 0) for i in range(res.order)]
-        for a in range(res.order):
-            for b in range(res.order):
-                m = _mat_mul_cyclo(mats[a], mats[b])
-                m2 = _mat_mul_cyclo(mats[b], mats[a])
-                assert m == m2   # canonical powers commute on the nose
-        for m in mats:
-            # determinant-one monomial matrices
-            assert _det_cyclo(m) == Cyclo.rational(1)
-
-
-def _det_cyclo(m):
-    n = len(m)
-    total = Cyclo.rational(0)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Cyclo.rational(sign)
-        for i in range(n):
-            term = term * m[i][perm[i]]
-        total = total + term
-    return total
+# component representatives
 
 
 def test_representatives_conjugate_correctly():
