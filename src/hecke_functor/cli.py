@@ -22,8 +22,8 @@ from .functor import (
     packet_union_check,
 )
 from .hecke import (
-    HeckeElement, HeckeSpec, ad_xg, alpha_g_twist, is_central, key_from_json,
-    mul_im,
+    HeckeElement, HeckeSpec, ad_xg, alpha_g_twist, guard_ad_xg, is_central,
+    key_from_json, mul_im, shared_spec,
 )
 from .lparam import (
     GroupTag, ToyParameter, component_group, parameter_from_json,
@@ -147,7 +147,7 @@ def _cmd_rootdatum(args):
                 "recomposes": fact.recompose().char_map == mor.char_map}
     datum = _decode(BasedRootDatum.from_json, _load_json(args.input))
     if args.action == "validate":
-        datum.validate()
+        datum.ensure_valid()
         return {"valid": True, "rank": datum.rank, "roots": len(datum.roots)}
     if args.action == "dual":
         return dual(datum).to_json()
@@ -181,7 +181,7 @@ def _load_spec(source) -> HeckeSpec:
     data = _load_json(source)
     if decode.obj(data) and "labels" in data:
         return _decode(HeckeSpec.from_json, data)
-    return HeckeSpec(_decode(BasedRootDatum.from_json, data))
+    return shared_spec(_decode(BasedRootDatum.from_json, data))
 
 
 def _cmd_hecke(args):
@@ -193,7 +193,8 @@ def _cmd_hecke(args):
     if args.action == "center-check":
         return {"central": is_central(spec, a)}
     if args.action == "ad-xg":
-        return {"image": ad_xg(spec, _decode(decode.rationals, args.xg))(a).to_json()}
+        x_g = _decode(guard_ad_xg, spec, _decode(decode.rationals, args.xg))
+        return {"image": ad_xg(spec, x_g)(a).to_json()}
     psi = _decode(decode.list_of, _load_json(args.psi), Cyclo.from_json, None,  # twist
                   "psi is a list of coefficients, one per R-group element")
     target, tw = alpha_g_twist(spec, psi)
@@ -209,7 +210,7 @@ def _cmd_finrep(args):
         return {"degrees": sorted(c.degree for c in chars),
                 "characters": [c.to_json() for c in chars]}
     normal = _decode(decode.index_set, args.normal, group.order)     # induce
-    sub_group, _ = group.subgroup_as_group(normal)
+    sub_group, _ = _decode(group.subgroup_as_group, normal)
     rho = _decode(RepOrChar.from_json, sub_group, _load_json(args.rho))
     ind, decomp = induce(group, normal, rho)
     return {"induced": ind.to_json(),

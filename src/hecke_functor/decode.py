@@ -36,6 +36,18 @@ def obj(v, *lists: str) -> bool:
     return isinstance(v, dict) and all(isinstance(v.get(k), list) for k in lists)
 
 
+def weyl_word(v, n: int) -> list[int]:
+    """v, if it is a list of simple-reflection positions below n;
+    ValueError otherwise."""
+    if not is_list(v):
+        raise ValueError("a Weyl word is a list of simple-reflection positions")
+    for s in v:
+        if type(s) is not int or not 0 <= s < n:
+            raise ValueError(f"Weyl word letter {s!r} is not a simple-reflection "
+                             f"position below {n}")
+    return v
+
+
 def list_of(data, item, n: int | None, what: str) -> list:
     """[item(v) for v in data] if data is a list (of n entries, if n is
     given); ValueError(what) otherwise."""

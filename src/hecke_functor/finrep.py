@@ -169,10 +169,13 @@ class FiniteGroup:
                    for a in range(self.order) for b in range(self.order))
 
     def subgroup_as_group(self, elems: Iterable[int]) -> tuple["FiniteGroup", list[int]]:
-        """The subgroup as its own FiniteGroup plus the index embedding."""
+        """The subgroup as its own FiniteGroup plus the index embedding;
+        FinRepError if the set is not closed under the product."""
         members = sorted(elems)
         pos = {g: i for i, g in enumerate(members)}
-        table = [[pos[self.mul(a, b)] for b in members] for a in members]
+        table = [[pos.get(self.mul(a, b)) for b in members] for a in members]
+        if any(None in row for row in table):
+            raise FinRepError("not a subgroup: the set is not closed under the product")
         return FiniteGroup(table), members
 
     # -- constructors ---------------------------------------------------------

@@ -33,7 +33,7 @@ from .lparam import (
 )
 from .numkernel import Cyclo
 from .rootdata import (
-    BasedRootDatum, Factorization, RDMorphism, _valid_by_construction,
+    BasedRootDatum, Factorization, RDMorphism, _mark_valid,
     build_classical, direct_sum, factorize_condition1, is_condition1, torus_datum,
 )
 from .weyl import Eig
@@ -77,7 +77,7 @@ def _tag_root_datum(factors: tuple[tuple[str, int], ...]) -> BasedRootDatum:
     # the datum depends on the factors only, not on the labels zeta; bounded,
     # since torus ranks read from JSON have no upper limit.  A sum of
     # classical data and tori is valid by construction
-    return _valid_by_construction(
+    return _mark_valid(
         direct_sum(*[_factor_datum(kind, n) for kind, n in factors]))
 
 

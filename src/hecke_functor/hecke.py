@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from . import decode as dc
@@ -42,9 +43,10 @@ from .rootdata import BasedRootDatum
 from .weyl import WeylGroup, _length_indexed, affine_simple_reflections
 
 __all__ = [
-    "HeckeError", "HeckeSpec", "HeckeElement", "key_from_json", "basis_product",
+    "HeckeError", "HeckeSpec", "HeckeElement", "shared_spec", "key_from_json",
+    "basis_product",
     "mul_im", "theta",
-    "blz_check", "is_central", "ad_xg", "alpha_g_twist",
+    "blz_check", "is_central", "ad_xg", "guard_ad_xg", "alpha_g_twist",
     "GradedSpec", "GradedElement", "graded_mul",
     "intermediate_algebra", "hom_from_big", "IntermediateAlgebra",
 ]
@@ -383,10 +385,23 @@ class HeckeSpec(_SpecBase):
             raise HeckeError(f"rgroup must be a list of {r}x{r} integer matrices")
         if not all(dc.pair(e) and dc.int_list(e[0], 2) for e in data["cocycle"]):
             raise HeckeError("cocycle must be [[i, j], value] pairs")
-        return HeckeSpec(datum, labels={i: tuple(v) for i, v in data["labels"]},
-                         params=dict(data["params"]),
-                         rgroup=[tuple(map(tuple, g)) for g in data["rgroup"]],
-                         cocycle={tuple(k): Cyclo.from_json(v) for k, v in data["cocycle"]})
+        labels = {i: tuple(v) for i, v in data["labels"]}
+        cocycle = {tuple(k): Cyclo.from_json(v) for k, v in data["cocycle"]}
+        return shared_spec(datum, tuple(labels.items()), tuple(dict(data["params"]).items()),
+                           tuple(tuple(map(tuple, g)) for g in data["rgroup"]),
+                           tuple(cocycle.items()))
+
+
+@lru_cache(maxsize=32)
+def shared_spec(datum: BasedRootDatum, labels: tuple | None = None, params: tuple | None = None,
+                rgroup: tuple | None = None, cocycle: tuple | None = None) -> HeckeSpec:
+    """The spec of decoded input, built once per distinct value (mappings as
+    their items, None for `HeckeSpec`'s defaults), so repeated inputs in one
+    process share its tables and product memo.  Bounded: input is unbounded."""
+    return HeckeSpec(datum, 1 if labels is None else dict(labels),
+                     params=None if params is None else dict(params),
+                     rgroup=None if rgroup is None else list(rgroup),
+                     cocycle=None if cocycle is None else dict(cocycle))
 
 
 _SCALARS = (int, Fraction, Cyclo, LaurentPoly)
@@ -517,13 +532,15 @@ class HeckeElement(Combination):
 
 def key_from_json(weyl: WeylGroup, data) -> tuple[tuple[int, ...], int]:
     """(t, index of w) of the element t_x w given as {"t": [...], "w_word":
-    [...]}; HeckeError on another shape, ValueError on a letter out of range."""
+    [...]}; HeckeError on another shape, ValueError on a word that is not a
+    list of simple-reflection positions."""
     if not isinstance(data, dict):
         raise HeckeError('an element is an object {"t": [...], "w_word": [...]}')
     t, rank = data.get("t"), weyl.datum.rank
     if not dc.int_list(t, rank):
         raise HeckeError(f"t must be a list of {rank} integers")
-    return tuple(t), weyl.index_of_word(data.get("w_word"))
+    return tuple(t), weyl.index_of_word(dc.weyl_word(data.get("w_word"),
+                                                     len(weyl.simple_positions)))
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +882,20 @@ class AdMap:
 
     def inverse(self) -> "AdMap":
         return AdMap(self.spec, tuple(-v for v in self.x_g))
+
+
+def guard_ad_xg(spec: HeckeSpec, x_g: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """x_g, or HeckeError if `AdMap` would build from it a theta_{k alpha}
+    (k = <x_g, alpha^>, alpha simple) with a key longer than KEY_LENGTH_GUARD.
+    What AdMap refuses itself (a wrong rank, a fractional k) is left to it."""
+    datum = spec.datum
+    if len(x_g) == datum.rank:
+        for i in datum.simples:
+            k = sum(c * v for c, v in zip(datum.coroots[i], x_g))
+            if k.denominator == 1 and _length_indexed(
+                    spec.weyl, tuple(k.numerator * a for a in datum.roots[i]), 0) > KEY_LENGTH_GUARD:
+                raise HeckeError(f"x_g needs a theta key longer than {KEY_LENGTH_GUARD}")
+    return x_g
 
 
 def ad_xg(spec: HeckeSpec, x_g) -> AdMap:

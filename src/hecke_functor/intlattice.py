@@ -1,6 +1,7 @@
 """
 Integer matrix and lattice computations: Smith normal form with transform
 matrices, integer linear solving, saturations and column-space bases.
+One Smith form answers every right-hand side of its matrix (`SmithForm`).
 
 Matrices are tuples of row tuples of Python ints; everything is exact.
 """
@@ -13,8 +14,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "identity", "zeros", "transpose", "mat_mul", "mat_vec", "det", "snf",
-    "solve_int", "kernel_basis",
-    "column_space_basis", "saturation_basis", "inverse_unimodular",
+    "SmithForm", "solve_int", "kernel_basis", "saturation_basis", "inverse_unimodular",
 ]
 
 
@@ -68,7 +68,55 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+class SmithForm(tuple):
+    """(U, D, V) with U a V = D, as `snf` returns it, and U^-1 beside it: one
+    factorisation serves every right-hand side of a (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4.3).  a x = b is D y = U b
+    with x = V y, the last columns of V span the kernel, and the columns of
+    U^-1 D span the column lattice.
+
+    >>> form = snf(((2, 4), (6, 8)))
+    >>> form.solve((2, 6)), form.solve((1, 0))
+    ((1, 0), None)
+    >>> snf(((1, 2), (2, 4))).kernel()
+    [(-2, 1)]
+    """
+
+    def __new__(cls, u: IntMatrix, d: IntMatrix, v: IntMatrix, u_inv: IntMatrix):
+        self = super().__new__(cls, (u, d, v))
+        self.u_inv = u_inv
+        self.diagonal = tuple(d[i][i] for i in range(min(len(d), len(v))))
+        self.rank = sum(1 for x in self.diagonal if x)
+        return self
+
+    def solve(self, b: tuple[int, ...]) -> tuple[int, ...] | None:
+        """One integer solution x of a x = b, or None."""
+        u, _, v = self
+        if len(b) != len(u):
+            raise ValueError("shape mismatch")
+        y = [0] * len(v)
+        for i, c in enumerate(mat_vec(u, b)):
+            di = self.diagonal[i] if i < len(self.diagonal) else 0
+            if di == 0:
+                if c != 0:
+                    return None
+            elif c % di != 0:
+                return None
+            else:
+                y[i] = c // di
+        return mat_vec(v, tuple(y))
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """Basis of the integer kernel of a (a saturated sublattice)."""
+        return list(transpose(self[2])[self.rank:])
+
+    def column_basis(self) -> list[tuple[int, ...]]:
+        """Basis (as vectors) of the lattice spanned by the columns of a."""
+        cols = transpose(self.u_inv)
+        return [tuple(di * x for x in cols[i]) for i, di in enumerate(self.diagonal) if di]
+
+
+def snf(a: IntMatrix) -> SmithForm:
     """Smith normal form: returns (U, D, V) with U a V = D.
 
     U and V are unimodular, D is diagonal with d_1 | d_2 | ... >= 0.
@@ -84,10 +132,13 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     d = [list(row) for row in a]
     u = [list(row) for row in identity(m)]
     v = [list(row) for row in identity(n)]
+    # U^-1 transposed: a row operation on U is a column operation on U^-1
+    w = [list(row) for row in identity(m)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        w[j] = [x + q * y for x, y in zip(w[j], w[i])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in d:
@@ -98,6 +149,7 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -172,64 +224,27 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
             u[i] = [-x for x in u[i]]
-    return (tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v)))
+            w[i] = [-x for x in w[i]]
+    return SmithForm(tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v)),
+                     transpose(tuple(map(tuple, w))))
 
 
 def solve_int(a: IntMatrix, b: tuple[int, ...]) -> tuple[int, ...] | None:
     """One integer solution x of a x = b, or None."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if len(b) != m:
-        raise ValueError("shape mismatch")
-    u, d, v = snf(a)
-    c = mat_vec(u, b)
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < min(m, n) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return mat_vec(v, tuple(y))
+    return snf(a).solve(b)
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel of a (a saturated sublattice)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    _, d, v = snf(a)
-    r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
-    cols = transpose(v)
-    return [cols[j] for j in range(r, n)]
-
-
-def column_space_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis (as vectors) of the lattice spanned by the columns of a."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u, d, _ = snf(a)
-    uinv = inverse_unimodular(u)
-    cols = transpose(uinv)
-    out = []
-    for i in range(min(m, n)):
-        if d[i][i] != 0:
-            out.append(tuple(d[i][i] * x for x in cols[i]))
-    return out
+    return snf(a).kernel()
 
 
 def saturation_basis(vectors: list[tuple[int, ...]], ambient_dim: int) -> list[tuple[int, ...]]:
     """Basis of the saturation {x : k x in span for some k > 0} of the span of vectors."""
     if not vectors:
         return []
-    a = transpose(tuple(tuple(v) for v in vectors))  # columns = vectors
-    u, d, _ = snf(a)
-    uinv = inverse_unimodular(u)
-    cols = transpose(uinv)
-    r = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-    return [cols[i] for i in range(r)]
+    form = snf(transpose(tuple(tuple(v) for v in vectors)))  # columns = vectors
+    return list(transpose(form.u_inv)[:form.rank])
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -86,21 +86,24 @@ class BasedRootDatum:
         return self._index.get(tuple(vec))
 
     @cached_property
-    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-        # one factorisation of the simple-root basis per datum (the datum is
-        # immutable); RootDatumError when the simple roots are dependent
-        return _coordinate_solver([self.roots[i] for i in self.simples], self.rank)
+    def _coordinates(self) -> il.SmithForm:
+        # one Smith form of the simple roots, as columns, per datum (the datum
+        # is immutable); RootDatumError when the simple roots are dependent
+        simple = tuple(self.roots[i] for i in self.simples)
+        form = il.snf(il.transpose(simple) if simple else il.zeros(self.rank, 0))
+        if form.rank < len(simple):
+            raise RootDatumError("the simple roots are linearly dependent")
+        return form
 
     def _simple_coords(self, vec: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
         """(num, den) with vec = sum_j num_j / den * alpha_{simples[j]} and
         den > 0, or None if vec is outside the span of the simple roots."""
-        pivots, columns, den = self._coordinates
-        z = [vec[c] for c in pivots]
-        num = tuple(sum(a * b for a, b in zip(z, col)) for col in columns)
-        for c in range(self.rank):
-            if sum(x * self.roots[i][c] for x, i in zip(num, self.simples)) != den * vec[c]:
-                return None
-        return num, den
+        form = self._coordinates
+        c = il.mat_vec(form[0], vec)
+        if any(c[form.rank:]):
+            return None
+        den = lcm(*form.diagonal)
+        return il.mat_vec(form[2], tuple(x * (den // d) for x, d in zip(c, form.diagonal))), den
 
     def simple_root_coeffs(self, vec: tuple[int, ...]) -> tuple[Fraction, ...] | None:
         """Coefficients of vec on the simple roots, if vec lies in their span."""
@@ -189,11 +192,12 @@ class BasedRootDatum:
                 raise RootDatumError(f"root {i} has mixed signs on the simples")
 
     def ensure_valid(self) -> None:
-        """validate(), unless the library built this datum valid by
-        construction (`_valid_by_construction`): data from JSON or from a
-        user are checked, the classical data and the tags' sums are not."""
-        if not self.__dict__.get("_by_construction"):
+        """validate() once: a datum that passed is marked (`_mark_valid`), as
+        are the classical data and the tags' sums, valid by construction; one
+        that fails is never marked, so it raises on every call."""
+        if not self.__dict__.get("_valid"):
             self.validate()
+            _mark_valid(self)
 
     # -- serialization ----------------------------------------------------------
 
@@ -216,48 +220,21 @@ class BasedRootDatum:
         roots, simples = data["roots"], data.get("simples")
         if not (dc.int_list(simples) and all(0 <= i < len(roots) for i in simples)):
             raise RootDatumError(f"simples must be a list of root indices below {len(roots)}")
-        return BasedRootDatum(rank, tuple(map(tuple, roots)),
-                              tuple(map(tuple, data["coroots"])), tuple(simples))
+        return _shared(BasedRootDatum(rank, tuple(map(tuple, roots)),
+                                      tuple(map(tuple, data["coroots"])), tuple(simples)))
 
 
-def _coordinate_solver(basis: list[tuple[int, ...]], rank: int
-                       ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-    """(pivots, columns, den) for vectors `basis` in Z^rank.
-
-    The coordinates of v in the span of `basis` are y_j = sum_r v[pivots[r]]
-    * columns[j][r] / den: Gauss-Jordan elimination of the rows `basis`, with
-    the row operations recorded beside them, inverts the block of `basis` on
-    the pivot coordinates.  RootDatumError if the vectors are dependent.
-    """
-    k = len(basis)
-    rows = [[Fraction(x) for x in b] + [Fraction(int(i == j)) for j in range(k)]
-            for i, b in enumerate(basis)]
-    pivots = []
-    for c in range(rank):
-        r = len(pivots)
-        pr = next((i for i in range(r, k) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(k):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    if len(pivots) < k:
-        raise RootDatumError("the simple roots are linearly dependent")
-    den = lcm(*(x.denominator for row in rows for x in row[rank:]))
-    columns = tuple(zip(*(tuple(int(x * den) for x in row[rank:]) for row in rows)))
-    return tuple(pivots), columns, den
+@lru_cache(maxsize=256)
+def _shared(datum: BasedRootDatum) -> BasedRootDatum:
+    """The first decoded instance equal to datum, so repeated inputs in one
+    process share its tables and validation mark.  Bounded: input is unbounded."""
+    return datum
 
 
-def _valid_by_construction(datum: BasedRootDatum) -> BasedRootDatum:
-    """Mark a datum built from the classical construction or from such data,
-    so that `ensure_valid` skips its validation.  The mark is not a field:
-    equality and hashing ignore it."""
-    object.__setattr__(datum, "_by_construction", True)
+def _mark_valid(datum: BasedRootDatum) -> BasedRootDatum:
+    """Mark a datum valid, so that `ensure_valid` skips its validation.  The
+    mark is not a field: equality and hashing ignore it."""
+    object.__setattr__(datum, "_valid", True)
     return datum
 
 
@@ -344,7 +321,7 @@ def _build_classical(family: str, n: int, isogeny: str | None) -> BasedRootDatum
             v = [0] * n
             v[i], v[i + 1] = 1, -1
             simples.append(roots.index(tuple(v)))
-        return _valid_by_construction(BasedRootDatum(n, roots, roots, tuple(simples)))
+        return _mark_valid(BasedRootDatum(n, roots, roots, tuple(simples)))
 
     if family not in ("A", "B", "C", "D"):
         raise RootDatumError(f"unsupported family {family!r}")
@@ -364,7 +341,7 @@ def _build_classical(family: str, n: int, isogeny: str | None) -> BasedRootDatum
         simple_coroots = [tuple(m[i][j] for i in range(n)) for j in range(n)]
     seed = BasedRootDatum(n, tuple(simple_roots), tuple(simple_coroots),
                           tuple(range(n)))
-    return _valid_by_construction(_close_under_reflections(seed))
+    return _mark_valid(_close_under_reflections(seed))
 
 
 def torus_datum(r: int) -> BasedRootDatum:
@@ -575,16 +552,17 @@ def factorize_condition1(f: RDMorphism) -> Factorization:
 
     b_rows = tuple(a) + tuple(p_map)           # (s + c) x t, injective, finite cokernel
     b = tuple(tuple(r) for r in b_rows)
+    b_form = il.snf(b)
 
     # lattice of the quotient group: the column span of b inside Z^(s+c)
-    basis = il.column_space_basis(b) if t else []
+    basis = b_form.column_basis()
     m_matrix = il.transpose(tuple(basis)) if basis else il.zeros(s + c, 0)
+    m_system = il.snf(m_matrix)
 
     # f3 char map: coordinates of the columns of b in the chosen basis
-    cols_b = il.transpose(b) if t else ()
     f3_cols = []
-    for col in cols_b:
-        x = il.solve_int(m_matrix, col)
+    for col in il.transpose(b):
+        x = m_system.solve(col)
         if x is None:
             raise RootDatumError("internal: image column outside its own span")
         f3_cols.append(x)
@@ -595,7 +573,7 @@ def factorize_condition1(f: RDMorphism) -> Factorization:
     mid_roots, mid_coroots = [], []
     for alpha, alpha_v in zip(f.source.roots, f.source.coroots):
         padded = tuple(alpha) + (0,) * c
-        x = il.solve_int(m_matrix, padded)
+        x = m_system.solve(padded)
         if x is None:
             raise RootDatumError("internal: root not a character of the quotient")
         mid_roots.append(x)
@@ -613,9 +591,7 @@ def factorize_condition1(f: RDMorphism) -> Factorization:
     f3 = RDMorphism(mid_datum, f.target, f3_map)
 
     # invariants of the finite central kernel: cokernel of b
-    _, dsnf, _ = il.snf(b) if t else (None, il.zeros(s + c, 0), None)
-    invariants = tuple(dsnf[i][i] for i in range(min(len(dsnf), t))
-                       if dsnf[i][i] not in (0, 1))
+    invariants = tuple(x for x in b_form.diagonal if x not in (0, 1))
 
     fact = Factorization(f1, f2, f3, c, invariants)
     if fact.recompose().char_map != f.char_map:
@@ -677,11 +653,11 @@ def based_automorphisms(datum: BasedRootDatum) -> list[RDMorphism]:
                     eq[row_i * r + col_j] = alpha_v_img[row_i]
                 rows.append(tuple(eq))
                 rhs.append(alpha_v[col_j])
-        system = tuple(rows)
-        x0 = il.solve_int(system, tuple(rhs))
+        system = il.snf(tuple(rows))
+        x0 = system.solve(tuple(rhs))
         if x0 is None:
             continue
-        free = il.kernel_basis(system)
+        free = system.kernel()
         if len(free) > 1:
             raise RootDatumError("possibly infinite automorphism group")
 

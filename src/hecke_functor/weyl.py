@@ -175,14 +175,9 @@ class WeylGroup:
 
     def index_of_word(self, word) -> int:
         """Index of s_{word[0]} ... s_{word[-1]}, the letters being positions
-        of simple reflections; raises ValueError on a letter out of range."""
-        if not isinstance(word, (list, tuple)):
-            raise ValueError("a Weyl word is a list of simple-reflection positions")
+        of simple reflections (`decode.weyl_word` checks a word from outside)."""
         i = 0
         for s in word:
-            if type(s) is not int or not 0 <= s < len(self.simple_positions):
-                raise ValueError(f"Weyl word letter {s!r} is not a simple-reflection "
-                                 f"position below {len(self.simple_positions)}")
             i = self.right_mult[i][s]
         return i
 
@@ -481,17 +476,15 @@ def omega_subgroup(datum: BasedRootDatum) -> list[ExtAffineElt]:
     sat = il.saturation_basis([list(x) for x in datum.roots], r)
     sat_matrix = il.transpose(tuple(sat))
     out = []
-    simple_coroots = [datum.coroots[i] for i in datum.simples]
     simple_slots = [group.slot[i] for i in datum.simples]
+    # <x, a_i^> = target_i with x = sat * y, one Smith form for every w
+    system = il.snf(tuple(tuple(sum(sat_matrix[k][j] * cv[k] for k in range(r))
+                                for j in range(len(sat)))
+                          for cv in (datum.coroots[i] for i in datum.simples)))
     for wi in range(group.order):
         # <x, a_i^> = 1 exactly where w^-1 a_i < 0
         flags = group.inversions(wi)
-        targets = [flags[k] for k in simple_slots]
-        # solve <x, a_i^> = target_i with x = sat * y
-        rows = tuple(tuple(sum(sat_matrix[k][j] * cv[k] for k in range(r))
-                           for j in range(len(sat)))
-                     for cv in simple_coroots)
-        y = il.solve_int(rows, tuple(targets))
+        y = system.solve(tuple(flags[k] for k in simple_slots))
         if y is None:
             continue
         x = il.mat_vec(sat_matrix, y)

@@ -226,6 +226,8 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     ["hecke", "ad-xg", "--spec", "datum:a1ad", "--xg", "abc", "--a", "[]"],
     ["hecke", "ad-xg", "--spec", "datum:a1ad", "--xg", "1/0", "--a", "[]"],
     ["hecke", "ad-xg", "--spec", "datum:a1ad", "--a", "[]"],
+    # a set of element indices that is not closed under the product
+    ["finrep", "induce", "--group", "group:z4", "--normal", "0,1", "--rho", "[]"],
 ])
 def test_malformed_element_is_refused(args, capsys, tmp_path):
     five = tmp_path / "five.json"
@@ -271,6 +273,35 @@ def test_a_key_at_the_guard_is_multiplied(capsys):
     data = run_json(["hecke", "mul", "--spec", "datum:a1sc", "--a", n_s, "--b", n_t], capsys)
     # l(s t_x) = l(t_x) + 1, and s t_x = t_{-x} s
     assert data["product"] == [[{"r": 0, "t": [-KEY_LENGTH_GUARD], "w_word": [0]}, _ONE]]
+
+
+@pytest.mark.parametrize("spec, x_g, refused", [
+    # theta_{k alpha} with k = <x_g, alpha^> has length 2|k| on A1, and
+    # k = 2 x_g on A1 ad
+    ("datum:a1ad", "64", False),
+    ("datum:a1ad", "129/2", True),
+    ("datum:a1ad", "-129/2", True),
+    ("datum:a1ad", "300", True),
+    ("datum:a1sc", "129", True),
+])
+def test_an_x_g_past_the_key_guard_is_refused_before_any_theta(spec, x_g, refused, capsys,
+                                                              monkeypatch):
+    from hecke_functor import hecke
+    if refused:
+        def refuse(*args):
+            raise AssertionError("theta built for a refused x_g")
+        monkeypatch.setattr(hecke, "theta", refuse)
+        monkeypatch.setattr(hecke, "mul_im", refuse)
+    theta_y = json.dumps([[{"r": 0, "t": [1], "w_word": []}, _ONE]])
+    code, out, err = run_cli(["hecke", "ad-xg", "--spec", spec, f"--xg={x_g}",
+                              "--a", theta_y], capsys)
+    if refused:
+        assert code == 2 and out == ""
+        assert err == f"validation error: x_g needs a theta key longer than {KEY_LENGTH_GUARD}\n"
+    else:
+        # Ad(x_g) fixes every theta_y
+        assert code == 0, err
+        assert json.loads(out)["image"] == json.loads(theta_y)
 
 
 def test_invalid_datum_is_refused_before_enumeration(capsys, monkeypatch):
@@ -430,3 +461,91 @@ def test_malformed_number_lists_are_refused_on_one_line(normal, g, xg):
                        "--rho", "[]"])
     _one_line_refusal(["param", "tau", "--param", "param:sln3", f"--g={g},"])
     _one_line_refusal(["hecke", "ad-xg", "--spec", "datum:a1ad", f"--xg={xg}/", "--a", "[]"])
+
+
+def _clear_decode_memos():
+    from hecke_functor import hecke, rootdata
+    rootdata._shared.cache_clear()
+    hecke.shared_spec.cache_clear()
+
+
+def _sweep_requests():
+    """One valid and one malformed request for every verb but selftest; the
+    two spec objects share their datum and differ in their labels only."""
+    from hecke_functor.functor import hom_sl_to_gl
+    from hecke_functor.hecke import HeckeSpec
+    from hecke_functor.rootdata import build_classical
+    a2 = build_classical("A", 2, "sc")
+    n_s = json.dumps([[{"t": [0, 0], "w_word": [0]}, _ONE]])
+    bad_datum = json.dumps({"rank": 1, "roots": [[3], [-3]], "coroots": [[1], [-1]],
+                            "simples": [0]})
+    eig = {"q": "0", "angle": "1/3"}
+    hom = {"steps": [{"kind": "sl_gl", "dom": [["SL", 3]], "dom_zeta": [0]}]}
+    gl3 = {"factors": [{"tag": "GLn", "n": 3, "eigs": [{"q": "0", "angle": f"{k}/3"}
+                                                      for k in range(3)]}], "zeta": [0]}
+    requests = [
+        ["rootdatum", "build", "--family", "B", "--n", "3"],
+        ["rootdatum", "build", "--family", "Q", "--n", "2"],
+        ["rootdatum", "validate", "--in", "datum:c3ad"],
+        ["rootdatum", "validate", "--in", bad_datum],
+        ["rootdatum", "dual", "--in", "datum:b2sc"],
+        ["rootdatum", "automorphisms", "--in", "datum:a3ad"],
+        ["rootdatum", "factorize", "--in", json.dumps(hom_sl_to_gl(3).lattice_map.to_json())],
+        ["rootdatum", "factorize", "--in", '{"source":1}'],
+        ["weyl", "enumerate", "--in", "datum:a2sc"],
+        ["weyl", "length", "--in", "datum:a2sc", "--element", '{"t":[1,-1],"w_word":[0,1]}'],
+        ["weyl", "length", "--in", "datum:a2sc", "--element", '{"t":[0,0],"w_word":[3]}'],
+        ["weyl", "stabilizer", "--in", "datum:gl3", "--point", json.dumps([eig, eig, eig])],
+        ["weyl", "omega", "--in", "datum:b3ad"],
+        ["weyl", "omega", "--in", bad_datum],
+    ]
+    for labels in (1, 2):
+        spec = json.dumps(HeckeSpec(a2, labels=labels).to_json())
+        requests.append(["hecke", "mul", "--spec", spec, "--a", n_s, "--b", n_s])
+    requests += [
+        ["hecke", "mul", "--spec", "datum:a2sc", "--a", "[[1,2]]", "--b", "[]"],
+        ["hecke", "center-check", "--spec", "datum:a2sc", "--a", n_s],
+        ["hecke", "ad-xg", "--spec", "datum:a1ad", "--xg", "1/2", "--a",
+         json.dumps([[{"t": [1], "w_word": [0]}, _ONE]])],
+        ["hecke", "twist", "--spec", "datum:a1sc", "--psi", json.dumps([_ONE["terms"][0][1]]),
+         "--a", json.dumps([[{"t": [1], "w_word": [0]}, _ONE]])],
+        ["finrep", "irreducibles", "--group", "group:d4"],
+        ["finrep", "induce", "--group", "group:z4", "--normal", "0,2", "--rho",
+         json.dumps([_ONE["terms"][0][1]] * 2)],
+        ["finrep", "induce", "--group", "group:z4", "--normal", "0,1", "--rho", "[]"],
+        ["param", "component-group", "--param", "param:sln3"],
+        ["param", "tau", "--param", "param:sln3", "--g", "1,0,0"],
+        ["param", "enhancements", "--param", "param:sln4"],
+        ["param", "tau", "--param", "param:sln3", "--g", "x"],
+        ["pullback", "--hom", json.dumps(hom), "--param", json.dumps(gl3)],
+        ["pullback", "--hom", json.dumps(hom), "--param", "param:sln3"],
+        ["example", "sln", "--n", "3"],
+        ["example", "sln", "--n", "-2"],
+    ]
+    return requests
+
+
+def test_cold_and_warm_replies_agree(capsys):
+    requests = _sweep_requests()
+    cold = []
+    for args in requests:
+        _clear_decode_memos()
+        cold.append(run_cli(args, capsys))
+    assert {code for code, _, _ in cold} == {0, 1, 2}
+    for _ in range(2):
+        assert [run_cli(args, capsys) for args in requests] == cold
+
+
+def test_decode_memos_stay_bounded():
+    from hecke_functor import hecke, rootdata
+    from hecke_functor.hecke import HeckeSpec
+    from hecke_functor.rootdata import BasedRootDatum, build_classical
+    template = HeckeSpec(build_classical("A", 1, "sc")).to_json()
+    for k in range(300):
+        datum = {"rank": k, "roots": [], "coroots": [], "simples": []}
+        assert BasedRootDatum.from_json(datum).to_json() == datum
+        spec = dict(template, labels=[[0, [k, k]], [1, [k, k]]])
+        assert HeckeSpec.from_json(spec).to_json() == spec
+    for memo in (rootdata._shared, hecke.shared_spec):
+        info = memo.cache_info()
+        assert 0 < info.currsize <= info.maxsize < 300
