@@ -136,6 +136,8 @@ def _cmd_rootdatum(args):
         return datum.to_json()
     if args.action == "factorize":
         mor = _decode(RDMorphism.from_json, _load_json(args.input))
+        mor.source.ensure_valid()
+        mor.target.ensure_valid()
         verdict = is_condition1(mor)
         if not verdict:
             return {"admissible": False, "reasons": list(verdict.reasons)}

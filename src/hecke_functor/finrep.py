@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import decode as dc
-from .numkernel import Cyclo, cyclo_root_of_unity
+from .numkernel import Cyclo, _prime_divisors, cyclo_root_of_unity
 
 __all__ = [
     "FiniteGroup", "RepOrChar", "FinRepError",
@@ -346,7 +346,7 @@ def hom_mult(sigma: RepOrChar, rho: RepOrChar) -> int:
 
     When both carry exponents, the sum of sigma(g) conj(rho(g)) is counted
     on the differences of the exponents: one `Cyclo` of conductor N, none
-    when every difference is zero."""
+    when every difference is zero or the sum vanishes by symmetry."""
     if sigma.group is not rho.group and sigma.group.table != rho.group.table:
         raise FinRepError("characters live on different groups")
     g = sigma.group
@@ -357,6 +357,10 @@ def hom_mult(sigma: RepOrChar, rho: RepOrChar) -> int:
         counts = Counter((x * a - y * b) % n for x, y in zip(e, f))
         if counts[0] == g.order:
             return 1
+        if _vanishes(n, counts):
+            # for two linear characters that is every other case: their
+            # differences form a homomorphism, spread evenly over its image
+            return 0
         total = Cyclo._make(n, counts)
     else:
         total = Cyclo.rational(0)
@@ -368,6 +372,14 @@ def hom_mult(sigma: RepOrChar, rho: RepOrChar) -> int:
     if q.denominator != 1 or q < 0:
         raise FinRepError("inner product is not a nonnegative integer")
     return int(q)
+
+
+def _vanishes(n: int, counts: Mapping[int, int]) -> bool:
+    """Does sum_k counts[k] zeta_n^k vanish by symmetry?  It does when the
+    counts are invariant under the shift by n/p for a prime p | n, since the
+    p-th roots of unity sum to 0."""
+    return any(all(c == counts.get((k + n // p) % n, 0) for k, c in counts.items())
+               for p in _prime_divisors(n))
 
 
 def character_product(group: FiniteGroup,

@@ -28,8 +28,8 @@ from math import lcm
 from typing import Sequence
 
 from . import decode as dc
-from .finrep import FiniteGroup, RepOrChar, irreducibles
-from .weyl import Eig
+from .finrep import FiniteGroup, RepOrChar, _size_guard, irreducibles
+from .weyl import Eig, _integer_point
 
 __all__ = [
     "GroupTag", "ToyParameter", "ComponentGroupResult", "LParamError",
@@ -117,6 +117,8 @@ class ToyParameter:
     def principal_cycle(tag: GroupTag) -> "ToyParameter":
         """The (1, zeta_n, ..., zeta_n^(n-1)) parameter for a single factor."""
         (kind, n), = tag.factors
+        if kind == "SL":
+            _size_guard(n)       # before the list: S_phi is cyclic of order n
         return ToyParameter.make(tag, [[Eig.root_of_unity(k, n) for k in range(n)]])
 
 
@@ -223,21 +225,26 @@ def _sl_factor_components(eigs: tuple[Eig, ...]) -> FactorComponents:
     n = len(eigs)
     if not _is_multiplicity_free(eigs):
         raise LParamError("SL-type factors require a multiplicity-free list")
-    position = {e: i for i, e in enumerate(eigs)}
+    # integer numerators over one denominator, angles in [0, den)
+    den, qs, angles = _integer_point(eigs)
+    position = {p: i for i, p in enumerate(zip(qs, angles))}
     pairs = []
-    # candidate scalars: lambda must map the first eigenvalue somewhere
+    # candidate scalars: lambda must map the first eigenvalue somewhere; no
+    # finite list is stable under a q-shift, so a match has dq = 0
     for target in range(n):
-        lam = eigs[target] / eigs[0]
-        scaled = [Eig(e.q_exp + lam.q_exp, e.angle + lam.angle) for e in eigs]
-        if set(scaled) != set(eigs):
-            continue
+        dq, da = qs[target] - qs[0], angles[target] - angles[0]
         # (w . list)_i = list_{w^-1 i} = lam * list_i:
-        # w^-1(i) = position of lam * eigs[i]
-        w_inv = tuple(position[s] for s in scaled)
-        w = tuple(w_inv.index(i) for i in range(n))
-        if lam.q_exp != 0:
-            raise LParamError("internal: scalar of finite order has a q-part")
-        pairs.append((w, lam))
+        # w^-1(i) = position of lam * eigs[i], up to the first miss
+        w_inv = []
+        for q, a in zip(qs, angles):
+            k = position.get((q + dq, (a + da) % den))
+            if k is None:
+                break
+            w_inv.append(k)
+        else:
+            w = tuple(sorted(range(n), key=w_inv.__getitem__))
+            pairs.append((w, Eig.root_of_unity(da, den)))
+            _size_guard(len(pairs))
     return FactorComponents("SL", n, tuple(pairs))
 
 

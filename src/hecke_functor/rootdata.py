@@ -400,8 +400,9 @@ class RDMorphism:
         if len(char_map) != s or any(len(row) != t for row in char_map):
             raise RootDatumError(f"char_map must be a {s} x {t} integer matrix")
 
-    @property
+    @cached_property
     def cochar_map(self) -> IntMatrix:
+        # once per morphism; equality and hashing read the fields only
         return il.transpose(self.char_map) if self.char_map else \
             il.zeros(self.target.rank, self.source.rank)
 
@@ -464,8 +465,11 @@ def is_condition1(f: RDMorphism) -> Condition1Verdict:
     True iff char_map carries the target roots bijectively onto the source
     roots, the transpose carries the matched source coroots back onto the
     target coroots, and simples go to simples.  This is the lattice shadow of
-    "central kernel and commutative cokernel".
+    "central kernel and commutative cokernel".  Read off the simple roots
+    when `_simples_match` can, else checked over every root.
     """
+    if _simples_match(f):
+        return Condition1Verdict(True)
     reasons = []
     match = {}
     hit = set()
@@ -490,6 +494,30 @@ def is_condition1(f: RDMorphism) -> Condition1Verdict:
         if simple_targets != set(f.source.simples):
             reasons.append("simples are not carried to simples")
     return Condition1Verdict(not reasons, tuple(reasons))
+
+
+def _simples_match(f: RDMorphism) -> bool:
+    """On two data marked valid: does f* send the target simples bijectively
+    onto the source simples, and f_* each matched source simple coroot back?
+
+    `validate()` makes the roots stable under every reflection, with the
+    coroots matched equivariantly; the simples independent (`_coordinates`)
+    with every root an integer combination of one sign, so a base; and the
+    system reduced (the Cartan bound refuses 2 alpha beside alpha).  So every
+    root is w alpha_j, w a word in simple reflections (Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 10.3).  With the match sigma,
+    <f* x, y> = <x, f_* y> gives f* s'_j = s_sigma(j) f* and
+    f_* s_sigma(j) = s'_j f_*: f* sends w' alpha'_j onto the root
+    w alpha_sigma(j), reaching every source root, and f_* sends its coroot
+    back to that of w' alpha'_j, so distinct roots stay distinct (their
+    coroots are).  The full check would find no fault."""
+    source, target = f.source, f.target
+    if not (source.__dict__.get("_valid") and target.__dict__.get("_valid")):
+        return False
+    images = [source.root_index(f.apply_char(target.roots[j])) for j in target.simples]
+    return len(images) == len(source.simples) and set(images) == set(source.simples) \
+        and all(f.apply_cochar(source.coroots[i]) == target.coroots[j]
+                for i, j in zip(images, target.simples))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -323,6 +324,36 @@ def test_dependent_simple_roots_are_refused(capsys):
     assert code == 1 and out == ""
     assert err.startswith("computation error: the simple roots are linearly dependent")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_factorize_refuses_an_invalid_datum_as_validate_does(capsys):
+    from hecke_functor.rootdata import build_classical
+    # <alpha, alpha^> = 3, yet every root maps to itself: only validation refuses
+    bad = {"rank": 1, "roots": [[3], [-3]], "coroots": [[1], [-1]], "simples": [0]}
+    a1 = build_classical("A", 1, "sc").to_json()
+    refusal = run_cli(["rootdatum", "validate", "--in", json.dumps(bad)], capsys)
+    assert refusal == (1, "", "computation error: <alpha, alpha^> != 2 at index 0\n")
+    for source, target in ((bad, bad), (bad, a1), (a1, bad)):
+        mor = json.dumps({"source": source, "target": target, "char_map": [[1]]})
+        assert run_cli(["rootdatum", "factorize", "--in", mor], capsys) == refusal
+
+
+def test_a_principal_cycle_above_the_guard_is_refused_before_its_list(capsys, monkeypatch):
+    from hecke_functor import lparam
+    before = run_json(["param", "component-group", "--param", "param:sln64"], capsys)
+    assert (before["order"], before["cyclic"], before["quotient_order"]) == (64, True, 64)
+
+    def refuse(*args):
+        raise AssertionError("a list built for a refused fixture")
+    monkeypatch.setattr(lparam, "_normalize_projective", refuse)
+    for request in (["param", "component-group", "--param", "param:sln65"],
+                    ["param", "component-group", "--param", "param:sln100000"],
+                    ["example", "sln", "--n", "100000"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(request, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == "computation error: group larger than the desk guard\n"
 
 
 def test_computation_exit_code(capsys):

@@ -477,12 +477,12 @@ def _hom(name, n, ad):
 
 
 @st.composite
-def _chains(draw):
-    """A composable pair f: A -> B, q: B -> H and a multiplicity-free
-    parameter of H."""
-    n = draw(st.integers(2, 4))
-    f_name, q_name = draw(st.sampled_from(_CHAINS))
-    ad = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n).filter(any))
+def _eigs(draw, kind, n):
+    """A list for a factor of the given kind and size, multiplicity-free on
+    matrix factors."""
+    if kind == "T":
+        return draw(st.lists(st.builds(Eig, st.integers(-2, 2), st.integers(0, 3).map(
+            lambda a: Fraction(a, 4))), min_size=n, max_size=n))
     # n / m orbits of the m-th roots of unity, so S_phi of an SL_n factor is
     # cyclic of order m: bases with angles below 1 / m keep the orbits apart
     m = draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
@@ -490,13 +490,50 @@ def _chains(draw):
                           min_size=n // m, max_size=n // m, unique=True))
     eigs = draw(st.permutations([Eig(Fraction(q, 2), Fraction(a, 2 * n) + Fraction(k, m))
                                  for q, a in bases for k in range(m)]))
-    kind, _, torus = _CATALOG[q_name][1].partition("+")
     if kind == "PGL":
         # a common shift moves the list to determinant one on the nose
         shift = Eig(-sum(e.q_exp for e in eigs) / n, -sum(e.angle for e in eigs) / n)
         eigs = [e * shift for e in eigs]
+    return eigs
+
+
+@st.composite
+def _chains(draw):
+    """A composable pair f: A -> B, q: B -> H and a multiplicity-free
+    parameter of H."""
+    n = draw(st.integers(2, 4))
+    f_name, q_name = draw(st.sampled_from(_CHAINS))
+    ad = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n).filter(any))
+    kind, _, torus = _CATALOG[q_name][1].partition("+")
+    eigs = draw(_eigs(kind, n))
     f, q = _hom(f_name, n, ad), _hom(q_name, n, ad)
     phi = ToyParameter.make(q.target, [eigs] + ([[Eig()]] if torus else []))
+    return f, q, phi
+
+
+@st.composite
+def _torus_and_product_chains(draw):
+    """A composable pair f: A -> B, q: B -> H of Ad steps, torus insertions
+    and torus projections on tags of one or two matrix factors (and maybe a
+    trailing torus), and a multiplicity-free parameter of H."""
+    factors = draw(st.lists(st.tuples(st.sampled_from(["SL", "GL", "PGL"]), st.integers(2, 4)),
+                            min_size=1, max_size=2))
+    factors += [("T", 1)] * draw(st.integers(0, 1))
+
+    def ad(tag):
+        return hom_ad(tag, [draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+                            if kind != "T" else [] for kind, n in tag.factors])
+
+    def insertion(tag):
+        return hom_torus_insertion(tag, draw(st.integers(1, 2)))
+
+    def step(tag):
+        moves = [ad, insertion] + [hom_torus_projection] * (tag.factors[-1][0] == "T")
+        return draw(st.sampled_from(moves))(tag)
+
+    f = step(GroupTag(tuple(factors), (0,) * len(factors)))
+    q = step(f.target)
+    phi = ToyParameter.make(q.target, [draw(_eigs(kind, n)) for kind, n in q.target.factors])
     return f, q, phi
 
 
@@ -517,9 +554,7 @@ def _pullback_round(f, q, phi):
     return verdict, out
 
 
-@settings(max_examples=60, deadline=None)
-@given(_chains())
-def test_random_chains_are_transitive_and_conserve_multiplicities(chain):
+def _cold_and_warm_rounds_agree(chain):
     for cache in (functor._tag_root_datum, functor._lattice_map, functor._smap,
                   lparam._component_group, lparam._sl_factor_components,
                   finrep._irreducibles):
@@ -528,6 +563,18 @@ def test_random_chains_are_transitive_and_conserve_multiplicities(chain):
     warm = _pullback_round(*chain)
     assert cold[0] is True
     assert warm == cold
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chains())
+def test_random_chains_are_transitive_and_conserve_multiplicities(chain):
+    _cold_and_warm_rounds_agree(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_torus_and_product_chains())
+def test_torus_and_product_chains_are_transitive_and_conserve_multiplicities(chain):
+    _cold_and_warm_rounds_agree(chain)
 
 
 def test_ad_blocks_must_match_their_factors():
