@@ -19,15 +19,12 @@ from .finrep import (
     restrict,
 )
 from .functor import (
-    check_transitivity, compose, conjA_decompose, hom_ad,
-    hom_dual_automorphism, hom_gl_to_pgl, hom_sl_to_gl, hom_sl_to_pgl,
-    hom_torus_insertion, packet_union_check, smap,
+    check_transitivity, conjA_decompose, hom_ad, hom_dual_automorphism,
+    hom_gl_to_pgl, hom_sl_to_gl, hom_sl_to_pgl, hom_torus_insertion,
+    sln_example, smap,
 )
 from .hecke import HeckeSpec, ad_xg, basis_product, is_central, mul_im, theta
-from .lparam import (
-    GroupTag, ToyParameter, component_group, relevant_enhancements,
-    tau_character,
-)
+from .lparam import GroupTag, ToyParameter, relevant_enhancements
 from .numkernel import cyclo_root_of_unity
 from .rootdata import (
     BasedRootDatum, RDMorphism, build_classical, factorize_condition1,
@@ -38,15 +35,6 @@ from .weyl import Eig, stabilizer_of_point
 __all__ = ["CRITERIA", "run_all"]
 
 
-def _standard_cycle_index(res):
-    for i in range(res.order):
-        (w, _), = res.pair_data(i)
-        n = len(w)
-        if n and all(w[k] == (k + 1) % n for k in range(n)):
-            return i
-    raise AssertionError("no standard cycle component")
-
-
 # ---------------------------------------------------------------------------
 # 1. the cyclic principal-series example for n = 2..8
 
@@ -54,15 +42,13 @@ def _standard_cycle_index(res):
 def criterion_sln_example():
     start = time.monotonic()
     for n in range(2, 9):
-        tag = GroupTag.single("SL", n)
-        phi = ToyParameter.principal_cycle(tag)
-        res = component_group(tag, phi)
+        ex = sln_example(n)
+        res, gen = ex.components, ex.generator
 
         # stabilizer of the list modulo scalars: order n, generated by the
         # n-cycle (the pair group is that stabilizer)
         if res.order != n or not res.is_cyclic():
             return False, f"n={n}: stabilizer order {res.order}"
-        gen = _standard_cycle_index(res)
         if res.group.element_order(gen) != n:
             return False, f"n={n}: the n-cycle does not generate"
         if n <= 5:
@@ -78,35 +64,26 @@ def criterion_sln_example():
             return False, f"n={n}: quotient order {res.quotient_order()}"
 
         # tau values on the powers of the generator
-        t_vec = [[1] + [0] * (n - 1)]
-        tau = tau_character(tag, phi, t_vec, res)
         elt = gen
         for k in range(1, n):
-            if tau.values[elt] != cyclo_root_of_unity((n - k) % n, n):
+            if ex.tau.values[elt] != cyclo_root_of_unity((n - k) % n, n):
                 return False, f"n={n}: tau value at power {k} wrong"
             elt = res.group.mul(elt, gen)
 
         # Ad(t) sends (phi, tau*) to (phi, zeta_n tau*) with multiplicity 1
-        f_ad = hom_ad(tag, t_vec)
         zeta = cyclo_root_of_unity(1, n)
-        for rho in relevant_enhancements(tag, phi, res):
-            out = conjA_decompose(f_ad, phi, rho)
+        for out, shift in zip(ex.ad_pullbacks, ex.ad_shifts):
             if len(out) != 1 or out[0][2] != 1:
                 return False, f"n={n}: Ad-pullback not multiplicity one"
-            if out[0][1].values[gen] != zeta * rho.values[gen]:
+            if shift != zeta:
                 return False, f"n={n}: Ad-pullback twists the wrong way"
 
         # pullback along the determinant-one inclusion: n pieces, all of
         # multiplicity one, exhausting the relevant enhancements
-        f_inc = hom_sl_to_gl(n)
-        tag_gl = GroupTag.single("GL", n)
-        phi_gl = ToyParameter.make(tag_gl,
-                                   [[Eig.root_of_unity(k, n) for k in range(n)]])
-        rho_gl = relevant_enhancements(tag_gl, phi_gl)[0]
-        out = conjA_decompose(f_inc, phi_gl, rho_gl)
+        out = ex.inclusion_pullback
         if len(out) != n or any(m != 1 for _, _, m in out):
             return False, f"n={n}: inclusion pullback has wrong shape"
-        if not packet_union_check(f_inc, phi_gl):
+        if not ex.packet_union:
             return False, f"n={n}: packet union fails"
     elapsed = time.monotonic() - start
     if elapsed >= 10.0:

@@ -9,9 +9,13 @@ group.  Products only use
 * the cross-relation correction series for moving T_s past theta_x,
 * freeness of x -> theta_x.
 
-Together with the basis conversion `bern_to_im` this gives a second route to
-products of basis elements, used as the oracle for `mul_im`.  Only specs with
-trivial R-group are supported here.
+This gives a second route to products of basis elements, the oracle for
+`mul_im`.  Criterion 2 of the acceptance suite reaches it through
+`oracle_pair_check`, which compares the two routes on a pair of basis
+elements after clearing inverses by one dominant translation.  The tests
+also use the basis conversion `bern_to_im`, which evaluates a Bernstein-form
+product inside the length presentation.  Only specs with trivial R-group are
+supported here.
 """
 
 from __future__ import annotations
@@ -105,14 +109,9 @@ def mul_bernstein(spec: HeckeSpec, a: BernElement, b: BernElement) -> BernElemen
 
 def bern_to_im(spec: HeckeSpec, e: BernElement) -> HeckeElement:
     """Evaluate sum theta_x f T_w inside the length-presentation algebra."""
-    memo = spec._bern_basis_memo
     total = spec.zero()
     for (x, wi), p in e.terms.items():
-        part = memo.get((x, wi))
-        if part is None:
-            part = mul_im(spec, theta(spec, x), spec.basis(None, wi))
-            memo[(x, wi)] = part
-        total = total + part.scale(p)
+        total = total + mul_im(spec, theta(spec, x), spec.basis(None, wi)).scale(p)
     return total
 
 

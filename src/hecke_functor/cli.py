@@ -17,10 +17,7 @@ import sys
 
 from . import decode
 from .finrep import FiniteGroup, RepOrChar, induce, irreducibles
-from .functor import (
-    conjA_decompose, hom_ad, hom_from_json, hom_sl_to_gl,
-    packet_union_check,
-)
+from .functor import conjA_decompose, hom_from_json, sln_example
 from .hecke import (
     HeckeElement, HeckeSpec, ad_xg, alpha_g_twist, guard_ad_xg, is_central,
     key_from_json, mul_im, shared_spec,
@@ -255,43 +252,22 @@ def _cmd_pullback(args):
 
 
 def _cmd_example(args):
-    n = args.n
-    tag = GroupTag.single("SL", n)
-    phi = ToyParameter.principal_cycle(tag)
-    res = component_group(tag, phi)
-    t_vec = [[1] + [0] * (n - 1)]
-    tau = tau_character(tag, phi, t_vec, res)
-    gen = next(i for i in range(res.order)
-               if all(res.pair_data(i)[0][0][k] == (k + 1) % n for k in range(n)))
-    f_ad = hom_ad(tag, t_vec)
-    rel = relevant_enhancements(tag, phi, res)
-    ad_shift = None
-    for rho in rel:
-        out = conjA_decompose(f_ad, phi, rho)
-        (_, rho_t, m), = out
-        ratio = rho_t.values[gen] / rho.values[gen]
-        if ad_shift is None:
-            ad_shift = _cyclo_str(ratio)
-        elif ad_shift != _cyclo_str(ratio):
-            ad_shift = "inconsistent"
-    f_inc = hom_sl_to_gl(n)
-    tag_gl = GroupTag.single("GL", n)
-    phi_gl = ToyParameter.make(tag_gl,
-                               [[Eig.root_of_unity(k, n) for k in range(n)]])
-    rho_gl = relevant_enhancements(tag_gl, phi_gl)[0]
-    pullback = conjA_decompose(f_inc, phi_gl, rho_gl)
+    n = _decode(decode.size, args.n)
+    ex = sln_example(n)
+    res = ex.components
+    shifts = {_cyclo_str(v) for v in ex.ad_shifts}
     return {
         "example": "sln",
         "n": n,
         "stabilizer_order": res.order,
         "stabilizer_cyclic": res.is_cyclic(),
         "quotient": f"Z/{res.quotient_order()}",
-        "tau_generator_value": _cyclo_str(tau.values[gen]),
-        "ad_pullback_shift": ad_shift,
-        "inclusion_pullback_size": len(pullback),
-        "inclusion_multiplicities": sorted(m for _, _, m in pullback),
-        "packet_union": packet_union_check(f_inc, phi_gl),
-        "relevant_enhancements": len(rel),
+        "tau_generator_value": _cyclo_str(ex.tau.values[ex.generator]),
+        "ad_pullback_shift": shifts.pop() if len(shifts) == 1 else "inconsistent",
+        "inclusion_pullback_size": len(ex.inclusion_pullback),
+        "inclusion_multiplicities": sorted(m for _, _, m in ex.inclusion_pullback),
+        "packet_union": ex.packet_union,
+        "relevant_enhancements": len(ex.enhancements),
     }
 
 

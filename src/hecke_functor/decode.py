@@ -82,11 +82,18 @@ _INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
+def size(n: int) -> int:
+    """n, if it is a size of at least 1; ValueError otherwise."""
+    if n < 1:
+        raise ValueError(f"size {n} is below 1")
+    return n
+
+
 def fixture(name: str) -> tuple[str, tuple]:
-    """(kind, fields) of a fixture name, the sizes read as ints."""
+    """(kind, fields) of a fixture name, the sizes read as ints of at least 1."""
     for pattern, kind in _FIXTURE_NAMES:
         if m := pattern.fullmatch(name):
-            return kind, tuple(int(g) if g[-1:].isdigit() else g for g in m.groups())
+            return kind, tuple(size(int(g)) if g[-1:].isdigit() else g for g in m.groups())
     raise ValueError(f"unknown fixture {name!r}")
 
 

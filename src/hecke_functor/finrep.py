@@ -302,40 +302,6 @@ class RepOrChar:
             raise FinRepError(f"a character is a list of {group.order} values")
         return RepOrChar(group, tuple(Cyclo.from_json(v) for v in data))
 
-    @staticmethod
-    def from_matrices(group: FiniteGroup, matrices: Mapping[int, Sequence[Sequence[Cyclo]]],
-                      generators: Sequence[int]) -> "RepOrChar":
-        """Character of a matrix representation given on generators."""
-        # build all images by multiplying generator matrices along words
-        images: dict[int, tuple[tuple[Cyclo, ...], ...]] = {}
-        deg = len(next(iter(matrices.values())))
-        ident = tuple(tuple(Cyclo.rational(1 if i == j else 0) for j in range(deg))
-                      for i in range(deg))
-        images[group.identity] = ident
-        frontier = [group.identity]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in generators:
-                    b = group.mul(a, g)
-                    if b not in images:
-                        ma, mg = images[a], matrices[g]
-                        prod = tuple(tuple(sum((ma[i][k] * mg[k][j] for k in range(deg)),
-                                               Cyclo.rational(0)) for j in range(deg))
-                                     for i in range(deg))
-                        images[b] = prod
-                        new.append(b)
-            frontier = new
-        if len(images) != group.order:
-            raise FinRepError("generators do not generate the group")
-        values = []
-        for a in range(group.order):
-            tr = Cyclo.rational(0)
-            for i in range(deg):
-                tr = tr + images[a][i][i]
-            values.append(tr)
-        return RepOrChar(group, tuple(values))
-
 
 # ---------------------------------------------------------------------------
 # inner products and basic operations

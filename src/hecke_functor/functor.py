@@ -44,7 +44,7 @@ __all__ = [
     "hom_ad", "hom_dual_automorphism", "hom_torus_insertion",
     "hom_torus_projection", "compose", "hom_to_json", "hom_from_json",
     "lmap_param", "smap", "conjA_decompose", "check_transitivity",
-    "packet_union_check", "tag_root_datum",
+    "packet_union_check", "tag_root_datum", "SLnExample", "sln_example",
 ]
 
 
@@ -630,3 +630,47 @@ def packet_union_check(f: GroupHomDesc, phi: ToyParameter) -> bool:
     expected = {tuple(repr(v) for v in r.values)
                 for r in relevant_enhancements(f.source, phi_dom)}
     return outputs == expected
+
+
+# ---------------------------------------------------------------------------
+# the worked SL_n example
+
+
+@dataclass(frozen=True)
+class SLnExample:
+    """The values of the SL_n example for phi = (1, zeta_n, ..., zeta_n^(n-1))
+    and t = (1, 0, ..., 0)."""
+
+    components: ComponentGroupResult        # S(phi)
+    generator: int                          # the n-cycle k -> k + 1 in S(phi)
+    tau: RepOrChar                          # tau(t), a character of S(phi)
+    enhancements: tuple[RepOrChar, ...]     # the relevant enhancements rho of phi
+    ad_pullbacks: tuple[tuple, ...]         # conjA_decompose(Ad(t), phi, rho) per rho
+    ad_shifts: tuple[Cyclo, ...]            # rho~(generator) / rho(generator) per rho
+    inclusion_pullback: tuple               # along SL_n -> GL_n, of phi's GL_n lift
+    packet_union: bool                      # packet_union_check along the inclusion
+
+
+def sln_example(n: int) -> SLnExample:
+    """Compute the SL_n example: S(phi), its n-cycle, tau(t), the pullbacks
+    along Ad(t) and along the inclusion into GL_n, and the packet union."""
+    tag = GroupTag.single("SL", n)
+    phi = ToyParameter.principal_cycle(tag)
+    res = component_group(tag, phi)
+    t_vec = [[1] + [0] * (n - 1)]
+    gen = next(i for i in range(res.order)
+               if all(res.pair_data(i)[0][0][k] == (k + 1) % n for k in range(n)))
+    f_ad = hom_ad(tag, t_vec)
+    rel = tuple(relevant_enhancements(tag, phi, res))
+    ad = tuple(tuple(conjA_decompose(f_ad, phi, rho)) for rho in rel)
+    tag_gl = GroupTag.single("GL", n)
+    phi_gl = ToyParameter.make(tag_gl, [[Eig.root_of_unity(k, n) for k in range(n)]])
+    f_inc = hom_sl_to_gl(n)
+    rho_gl = relevant_enhancements(tag_gl, phi_gl)[0]
+    return SLnExample(
+        components=res, generator=gen, tau=tau_character(tag, phi, t_vec, res),
+        enhancements=rel, ad_pullbacks=ad,
+        ad_shifts=tuple(out[0][1].values[gen] / rho.values[gen]
+                        for rho, out in zip(rel, ad)),
+        inclusion_pullback=tuple(conjA_decompose(f_inc, phi_gl, rho_gl)),
+        packet_union=packet_union_check(f_inc, phi_gl))

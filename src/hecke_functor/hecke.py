@@ -26,6 +26,10 @@ goes through `_add_into`, which drops a key whose coefficient cancels.
 The parameter z(s) of an affine node is z^label(theta) for the node's root
 theta, except that theta^ in 2 X^ switches it to z^label*(theta); this is
 also the only situation in which label* may differ from label.
+
+`intermediate_algebra` enlarges the R-group to Gamma_big; its `embed` maps
+the smaller algebra into the enlarged one, and `module_decomposition` cuts
+the enlarged one along the left cosets of Gamma.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ __all__ = [
     "mul_im", "theta",
     "blz_check", "is_central", "ad_xg", "guard_ad_xg", "alpha_g_twist",
     "GradedSpec", "GradedElement", "graded_mul",
-    "intermediate_algebra", "hom_from_big", "IntermediateAlgebra",
+    "intermediate_algebra", "IntermediateAlgebra",
 ]
 
 RGROUP_SIZE_GUARD = 8
@@ -139,6 +143,17 @@ class _SpecBase:
         self._kappa = [[None if self.cocycle[(i, j)] == 1 else self.cocycle[(i, j)]
                         for j in range(n)] for i in range(n)]
 
+    def _orbit_names(self, prefix: str) -> dict[int, str]:
+        """One parameter name per R-orbit of components: `prefix` for a
+        single orbit, else prefix1, prefix2, ... by least component.  A
+        parameter must be constant on R-orbits, since gamma s gamma^-1 is
+        the reflection of gamma's image of s's root."""
+        least = [min(perm[c] for perm in self.comp_perm) for c in range(len(self.components))]
+        number = {c: k + 1 for k, c in enumerate(sorted(set(least)))}
+        if len(number) == 1:
+            return {c: prefix for c in range(len(least))}
+        return {c: f"{prefix}{number[m]}" for c, m in enumerate(least)}
+
     def r_mul(self, i: int, j: int) -> int:
         return self._r_mul[i][j]
 
@@ -166,7 +181,7 @@ class HeckeSpec(_SpecBase):
             lam_star = label_star if label_star is not None else labels
             labels = {i: (labels, lam_star) for i in range(len(datum.roots))}
         self.labels = {i: (int(a), int(b)) for i, (a, b) in labels.items()}
-        self.params = dict(params) if params is not None else self._default_params()
+        self.params = dict(params) if params is not None else self._orbit_names("z")
         self.zvars = tuple(sorted(set(self.params.values())))
         # the unit polynomial, shared (LaurentPoly is immutable)
         self._one = LaurentPoly.constant(self.zvars, 1)
@@ -175,9 +190,8 @@ class HeckeSpec(_SpecBase):
         self._prepare_generators()
         self._mul_memo: dict[tuple[tuple, tuple], dict[Key, LaurentPoly]] = {}
         self._theta_memo: dict[tuple[int, ...], "HeckeElement"] = {}
-        # bernstein.py: T_w theta_y per (w, y), and theta_x T_w per (x, w)
+        # bernstein.py: T_w theta_y per (w, y)
         self._bern_move_memo: dict[tuple[int, tuple[int, ...]], dict] = {}
-        self._bern_basis_memo: dict[tuple[tuple[int, ...], int], "HeckeElement"] = {}
         # (x, w) -> (length, first left descent, s (x, w)); see key_info
         self._key_table: dict[tuple[tuple[int, ...], int],
                               tuple[int, int | None, tuple | None]] = {}
@@ -207,15 +221,6 @@ class HeckeSpec(_SpecBase):
         if any(self.params[perm[c]] != self.params[c]
                for perm in self.comp_perm for c in range(len(self.components))):
             raise HeckeError("parameter names must be constant on R-orbits of components")
-
-    def _default_params(self) -> dict[int, str]:
-        """One parameter name per R-orbit of components."""
-        # the orbits, numbered by their least component
-        least = [min(perm[c] for perm in self.comp_perm) for c in range(len(self.components))]
-        number = {c: k + 1 for k, c in enumerate(sorted(set(least)))}
-        if len(number) == 1:
-            return {c: "z" for c in range(len(least))}
-        return {c: f"z{number[m]}" for c, m in enumerate(least)}
 
     # -- generators ------------------------------------------------------------
 
@@ -939,8 +944,8 @@ class GradedSpec(_SpecBase):
     the finite twisted group algebra, deformed by the r-parameters.
 
     Cross relation: f T_s - T_s s(f) = r_j (f - s(f)) / alpha, one parameter
-    r_j per component; at r = 0 this is the plain twisted group algebra over
-    the polynomial ring.
+    r_j per R-orbit of components; at r = 0 this is the plain twisted group
+    algebra over the polynomial ring.
     """
 
     def __init__(self, datum: BasedRootDatum,
@@ -948,8 +953,8 @@ class GradedSpec(_SpecBase):
                  cocycle: Mapping[tuple[int, int], Cyclo] | None = None):
         super().__init__(datum, rgroup, cocycle)
         self.coord_vars = tuple(f"x{i}" for i in range(datum.rank))
-        self.r_vars = tuple("r" if len(self.components) == 1 else f"r{c+1}"
-                            for c in range(len(self.components)))
+        names = self._orbit_names("r")
+        self.r_vars = tuple(names[c] for c in range(len(self.components)))
         self.vars = self.coord_vars + tuple(sorted(set(self.r_vars)))
 
     def poly_constant(self, c) -> LaurentPoly:
@@ -1088,24 +1093,34 @@ def graded_mul(spec: GradedSpec, a: GradedElement, b: GradedElement) -> GradedEl
 
 
 class IntermediateAlgebra:
-    """The same presented algebra with the R-group enlarged to Gamma_big;
-    as a module it is the direct sum of [Gamma_big : Gamma] copies of the
-    smaller algebra, glued along the coset representatives."""
+    """The same presented algebra with the R-group enlarged to Gamma_big.
+
+    `embed` is the algebra embedding iota: H(small) -> H(big),
+    (x, w, gamma) -> (x, w, iota(gamma)).  As a module H(big) is the direct
+    sum of [Gamma_big : Gamma] pieces, one per left coset c Gamma of the
+    R-part (`module_decomposition`).  Each piece is a right iota(H(small))-
+    module: N_u N_{iota(gamma)} keeps the R-part in u's coset.  It is a left
+    module only when Gamma is normal, since N_{iota(gamma)} N_u moves the
+    R-part to gamma c Gamma, which is c Gamma for every gamma only then.
+    """
 
     def __init__(self, small: HeckeSpec, big: HeckeSpec,
-                 coset_reps: list[int]):
+                 embedding: list[int], coset_reps: list[int]):
         self.small = small
         self.big = big
+        # embedding[i] = the index in big.rgroup of small.rgroup[i]
+        self.embedding = embedding
         self.coset_reps = coset_reps
 
-    @property
-    def rank_multiplier(self) -> int:
-        return len(self.coset_reps)
+    def embed(self, elt: HeckeElement) -> HeckeElement:
+        """iota(elt) in the enlarged algebra."""
+        return HeckeElement(self.big, {(x, wi, self.embedding[gi]): p
+                                       for (x, wi, gi), p in elt.terms.items()})
 
     def module_decomposition(self, elt: HeckeElement) -> dict[int, HeckeElement]:
-        """Split an element by the Gamma-coset of its R-part."""
+        """Split an element by the left Gamma-coset of its R-part."""
         out: dict[int, dict] = {rep: {} for rep in self.coset_reps}
-        small_set = {self.big.r_index[g] for g in self.small.rgroup}
+        small_set = set(self.embedding)
         for key, p in elt.terms.items():
             gi = key[2]
             for rep in self.coset_reps:
@@ -1137,54 +1152,4 @@ def intermediate_algebra(spec: HeckeSpec, gamma_big: list[IntMatrix],
         if gi not in covered:
             reps.append(gi)
             covered.update(big.r_mul(gi, si) for si in embed)
-    return IntermediateAlgebra(spec, big, reps)
-
-
-class HeckeHom:
-    """Basis-to-basis homomorphism data between Hecke specs sharing a datum."""
-
-    def __init__(self, source: HeckeSpec, target: HeckeSpec):
-        if source.datum != target.datum:
-            raise HeckeError("homomorphism needs a shared datum")
-        self.source = source
-        self.target = target
-
-    def __call__(self, elt: HeckeElement) -> HeckeElement:
-        if self.source.zvars != self.target.zvars:
-            raise HeckeError("specs use different parameter names")
-        out = {}
-        for (x, wi, gi), p in elt.terms.items():
-            tg = self.target.r_index[self.source.rgroup[gi]]
-            out[(x, wi, tg)] = p
-        return HeckeElement(self.target, out)
-
-    def verify_on_generators(self) -> bool:
-        """Mechanically check that defining relations map to relations."""
-        src, tgt = self.source, self.target
-        # quadratic relations
-        for pos in range(len(src.all_gens)):
-            key = src.all_gens[pos]
-            n_s = src.basis(key[0], key[1])
-            lhs = mul_im(src, n_s, n_s)
-            rhs = src.unit() + n_s.scale(src.gen_deform[pos])
-            if self(lhs) != self(rhs) or self(lhs) != mul_im(tgt, self(n_s), self(n_s)):
-                return False
-        # translation commutation on a lattice basis
-        for row in il.identity(src.datum.rank):
-            for row2 in il.identity(src.datum.rank):
-                a, b = theta(src, tuple(row)), theta(src, tuple(row2))
-                if self(mul_im(src, a, b)) != mul_im(tgt, self(a), self(b)):
-                    return False
-        # R-group products
-        for i in range(len(src.rgroup)):
-            for j in range(len(src.rgroup)):
-                lhs = mul_im(src, src.n_r(i), src.n_r(j))
-                if self(lhs) != mul_im(tgt, self(src.n_r(i)), self(src.n_r(j))):
-                    return False
-        return True
-
-
-def hom_from_big(intermediate: IntermediateAlgebra) -> HeckeHom:
-    """The canonical generator-to-generator map from the enlarged-R-group
-    algebra into the intermediate algebra (the identity at desk scale)."""
-    return HeckeHom(intermediate.big, intermediate.big)
+    return IntermediateAlgebra(spec, big, embed, reps)

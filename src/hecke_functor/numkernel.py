@@ -54,23 +54,6 @@ CONDUCTOR_GUARD = 1000
 # integer / polynomial helpers
 
 @lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    """Euler totient."""
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
 def _prime_divisors(n: int) -> tuple[int, ...]:
     out = []
     m = n

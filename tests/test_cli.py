@@ -229,6 +229,10 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     ["hecke", "ad-xg", "--spec", "datum:a1ad", "--a", "[]"],
     # a set of element indices that is not closed under the product
     ["finrep", "induce", "--group", "group:z4", "--normal", "0,1", "--rho", "[]"],
+    # sizes below 1
+    ["param", "component-group", "--param", "param:sln0"],
+    ["param", "component-group", "--param", "param:sln-3"],
+    ["example", "sln", "--n", "0"],
 ])
 def test_malformed_element_is_refused(args, capsys, tmp_path):
     five = tmp_path / "five.json"

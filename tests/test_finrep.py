@@ -348,40 +348,6 @@ def test_malformed_group_json_is_refused(data):
         FiniteGroup.from_json(data)
 
 
-def test_matrix_representation_character():
-    # the 2-dimensional representation of S_3 on the zero-sum plane
-    g = FiniteGroup.symmetric(3)
-    import itertools as it
-    perms = list(it.permutations(range(3)))
-    gens = [i for i, p in enumerate(perms) if p in [(1, 0, 2), (0, 2, 1)]]
-    def perm_matrix(p):
-        # action on e1 - e2, e2 - e3 coordinates
-        rows = []
-        full = [[Cyclo.rational(1 if p[j] == i else 0) for j in range(3)]
-                for i in range(3)]
-        # base change to the zero-sum plane with basis f1 = e1-e2, f2 = e2-e3
-        # work out the 2x2 matrix by acting on f1, f2
-        def act(vec):
-            out = [Cyclo.rational(0)] * 3
-            for j, c in enumerate(vec):
-                out[p.index(j)] = out[p.index(j)] + c
-            return out
-        f1 = [Cyclo.rational(1), Cyclo.rational(-1), Cyclo.rational(0)]
-        f2 = [Cyclo.rational(0), Cyclo.rational(1), Cyclo.rational(-1)]
-        images = [act(f1), act(f2)]
-        # express each image in terms of f1, f2: (a, b) with image = a f1 + b f2
-        out = []
-        for img in images:
-            a = img[0]
-            b = Cyclo.rational(0) - img[2]
-            out.append((a, b))
-        return ((out[0][0], out[1][0]), (out[0][1], out[1][1]))
-    mats = {gi: perm_matrix(perms[gi]) for gi in gens}
-    chi = RepOrChar.from_matrices(g, mats, gens)
-    assert chi.degree == 2
-    assert hom_mult(chi, chi) == 1
-
-
 # ---------------------------------------------------------------------------
 # the exponent path against the Cyclo sums it replaces
 

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hecke_functor import intlattice as il
 from hecke_functor.numkernel import Cyclo, LaurentPoly, cyclo_root_of_unity
-from hecke_functor.rootdata import build_classical, direct_sum
+from hecke_functor.rootdata import based_automorphisms, build_classical, direct_sum
 from hecke_functor.bernstein import BernElement, bern_basis, bern_to_im, mul_bernstein
 from hecke_functor.hecke import (
     GradedElement, GradedSpec, HeckeElement, HeckeError, HeckeSpec, _basis_mul_plain,
     _dominant_shift, ad_xg, alpha_g_twist, basis_product, blz_check, graded_mul,
-    hom_from_big, intermediate_algebra, is_central, mul_im, theta,
+    _move_poly_left, intermediate_algebra, is_central, mul_im, theta,
 )
 
 A1 = build_classical("A", 1, "sc")
@@ -425,25 +425,64 @@ def test_graded_invariant_central():
         assert graded_mul(gspec, fe, gen) == graded_mul(gspec, gen, fe)
 
 
-def test_graded_associativity_random():
-    rng = random.Random(99)
-    gspec = GradedSpec(A2)
+def _graded_property_specs():
+    datum, flip = _doubled_a1_with_flip()
+    one = Cyclo.rational(1)
+    clifford = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): cyclo_root_of_unity(1, 4)}
+    return {"A1": GradedSpec(A1), "A2": GradedSpec(A2), "C2 sc": GradedSpec(C2),
+            "C2 ad": GradedSpec(build_classical("C", 2, "ad")),
+            "doubled A1 with flip": GradedSpec(datum, rgroup=flip),
+            "doubled A1 with flip, Clifford cocycle":
+                GradedSpec(datum, rgroup=flip, cocycle=clifford)}
 
-    def rand_elt():
-        out = GradedElement(gspec, {})
-        for _ in range(rng.randint(1, 2)):
-            wi = rng.randrange(gspec.weyl.order)
-            poly = gspec.poly_constant(rng.randint(-2, 2))
-            for _ in range(rng.randint(0, 2)):
-                poly = poly * gspec.coordinate(rng.randrange(2))
-            out = out + gspec.basis(poly, wi)
-        return out
 
-    # normal forms are well-defined: associativity on 100 randomized triples
-    for _ in range(100):
-        a, b, c = rand_elt(), rand_elt(), rand_elt()
-        assert graded_mul(gspec, graded_mul(gspec, a, b), c) == \
-            graded_mul(gspec, a, graded_mul(gspec, b, c))
+GRADED_PROPERTY_SPECS = _graded_property_specs()
+
+
+@st.composite
+def _graded_polys(draw, spec):
+    """c x_i x_j ... of degree <= 2."""
+    poly = spec.poly_constant(draw(st.sampled_from([1, -2, Fraction(1, 2)])))
+    for i in draw(st.lists(st.integers(0, spec.datum.rank - 1), max_size=2)):
+        poly = poly * spec.coordinate(i)
+    return poly
+
+
+@st.composite
+def _graded_elements(draw, spec):
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        key = (draw(st.integers(0, spec.weyl.order - 1)),
+               draw(st.integers(0, len(spec.rgroup) - 1)))
+        terms[key] = draw(_graded_polys(spec))
+    return GradedElement(spec, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GRADED_PROPERTY_SPECS)), st.data())
+def test_graded_associativity_random(name, data):
+    spec = GRADED_PROPERTY_SPECS[name]
+    a, b, c = (data.draw(_graded_elements(spec)) for _ in range(3))
+    assert graded_mul(spec, graded_mul(spec, a, b), c) == \
+        graded_mul(spec, a, graded_mul(spec, b, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(GRADED_PROPERTY_SPECS)), st.data())
+def test_graded_cross_relation_random(name, data):
+    # (f T_s - T_s s(f)) alpha = r (f - s(f)), multiplied out rather than
+    # divided, for a random polynomial f and simple reflection s
+    spec = GRADED_PROPERTY_SPECS[name]
+    f = data.draw(_graded_polys(spec))
+    j = data.draw(st.integers(0, len(spec.datum.simples) - 1))
+    root = spec.datum.simples[j]
+    t_s = spec.t_simple(j)
+    sf = spec.act_poly(spec.weyl.matrices[spec.weyl.right_mult[0][j]], f)
+    lhs = graded_mul(spec, spec.basis(f), t_s) - graded_mul(spec, t_s, spec.basis(sf))
+    assert set(lhs.terms) <= {(0, spec.r_identity)}
+    got = lhs.terms.get((0, spec.r_identity), spec.poly_constant(0))
+    r = spec.deformation(spec.component_of[root])
+    assert got * spec.linear_form(spec.datum.roots[root]) == r * (f - sf)
 
 
 def test_graded_semidirect_with_flip():
@@ -480,9 +519,10 @@ def test_graded_user_supplied_cocycle():
 def test_intermediate_trivial_extension():
     spec = HeckeSpec(A1)
     inter = intermediate_algebra(spec, [il.identity(1)])
-    assert inter.rank_multiplier == 1
-    hom = hom_from_big(inter)
-    assert hom.verify_on_generators()
+    assert inter.coset_reps == [0]
+    elt = spec.basis((1,), 1) + theta(spec, (-1,)).scale(spec.gen_deform[0])
+    assert inter.embed(elt).terms == elt.terms
+    assert inter.module_decomposition(inter.embed(elt)) == {0: inter.embed(elt)}
 
 
 def test_intermediate_flip_extension():
@@ -490,13 +530,12 @@ def test_intermediate_flip_extension():
     # trivial R-group, but the parameters must already be flip-invariant
     spec = HeckeSpec(datum, params={0: "z", 1: "z"})
     inter = intermediate_algebra(spec, rgroup)
-    assert inter.rank_multiplier == 2
-    hom = hom_from_big(inter)
-    assert hom.verify_on_generators()
+    assert len(inter.coset_reps) == 2
     # quadratic relation is preserved in the constructed algebra
     big = inter.big
     for j in range(2):
         n_s = big.n_simple(j)
+        assert inter.embed(spec.n_simple(j)) == n_s
         sq = mul_im(big, n_s, n_s)
         assert sq == big.unit() + n_s.scale(big.gen_deform[j])
     # module splits into [big : small] = 2 coset pieces
@@ -513,10 +552,107 @@ def test_intermediate_cocycle_compatibility():
     one = Cyclo.rational(1)
     kappa_big = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): i}
     inter = intermediate_algebra(spec, rgroup, kappa_big)
-    assert inter.rank_multiplier == 2
+    assert len(inter.coset_reps) == 2
     bad = {(0, 0): i, (0, 1): one, (1, 0): one, (1, 1): i}
     with pytest.raises(HeckeError):
         intermediate_algebra(spec, rgroup, bad)
+
+
+def _embedding_pairs():
+    """name -> (the intermediate algebra, whether Gamma is normal in Gamma_big)."""
+    datum, flip = _doubled_a1_with_flip()
+    one = Cyclo.rational(1)
+    clifford = {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): cyclo_root_of_unity(1, 4)}
+    doubled = HeckeSpec(datum, params={0: "z", 1: "z"})
+    three = direct_sum(A1, A1, A1)
+    same = {0: "z", 1: "z", 2: "z"}
+    # the identity, the two 3-cycles, then the three swaps: a swap of the
+    # small group sits at another index in the big one
+    cyclic = [((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
+    swaps = [((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+             ((1, 0, 0), (0, 0, 1), (0, 1, 0))]
+    s3 = [il.identity(3)] + cyclic + swaps
+    a2_flip = [a.char_map for a in based_automorphisms(A2)]
+    return {
+        "A1+A1, trivial in flip": (intermediate_algebra(doubled, flip), True),
+        "A1+A1, trivial in flip, Clifford cocycle":
+            (intermediate_algebra(doubled, flip, clifford), True),
+        "three A1, Z/3 in S3": (intermediate_algebra(
+            HeckeSpec(three, params=same, rgroup=[il.identity(3)] + cyclic), s3), True),
+        "three A1, swap in S3": (intermediate_algebra(
+            HeckeSpec(three, params=same, rgroup=[il.identity(3), swaps[0]]), s3), False),
+        "A2, trivial in diagram flip": (intermediate_algebra(HeckeSpec(A2), a2_flip), True),
+    }
+
+
+EMBEDDING_PAIRS = _embedding_pairs()
+
+
+@st.composite
+def _hecke_elements(draw, spec):
+    """Up to three terms (x, w, gamma) with |x_i| <= 1 and coefficients
+    c z^k, |k| <= 1."""
+    z = LaurentPoly.monomial(spec.zvars, spec.zvars[0])
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = (tuple(draw(st.integers(-1, 1)) for _ in range(spec.datum.rank)),
+               draw(st.integers(0, spec.weyl.order - 1)),
+               draw(st.integers(0, len(spec.rgroup) - 1)))
+        terms[key] = z ** draw(st.integers(-1, 1)) * draw(st.sampled_from([1, -2, Fraction(1, 2)]))
+    return HeckeElement(spec, terms)
+
+
+def _left_coset(inter, rep):
+    """The R-indices of rep Gamma in the big algebra, from the matrices."""
+    big = inter.big
+    return {big.r_index[tuple(map(tuple, il.mat_mul(big.rgroup[rep], g)))]
+            for g in inter.small.rgroup}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDING_PAIRS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_embedding_is_multiplicative(name, data):
+    inter, _ = EMBEDDING_PAIRS[name]
+    small, big = inter.small, inter.big
+    assert inter.embed(small.unit()) == big.unit()
+    a, b = data.draw(_hecke_elements(small)), data.draw(_hecke_elements(small))
+    assert inter.embed(mul_im(small, a, b)) == mul_im(big, inter.embed(a), inter.embed(b))
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDING_PAIRS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coset_pieces_are_right_modules(name, data):
+    # the pieces: one per left coset rep Gamma, summing to the element; a
+    # piece times iota(a) stays in its coset, and so does iota(a) times a
+    # piece when Gamma is normal
+    inter, normal = EMBEDDING_PAIRS[name]
+    small, big = inter.small, inter.big
+    elt, a = data.draw(_hecke_elements(big)), data.draw(_hecke_elements(small))
+    pieces = inter.module_decomposition(elt)
+    assert len(pieces) == len(big.rgroup) // len(small.rgroup)
+    assert sum(pieces.values(), big.zero()) == elt
+    cosets = {rep: _left_coset(inter, rep) for rep in pieces}
+    assert sorted(g for coset in cosets.values() for g in coset) == list(range(len(big.rgroup)))
+    for rep, piece in pieces.items():
+        assert {key[2] for key in piece.terms} <= cosets[rep]
+        right = mul_im(big, piece, inter.embed(a))
+        assert {key[2] for key in right.terms} <= cosets[rep]
+        if normal:
+            left = mul_im(big, inter.embed(a), piece)
+            assert {key[2] for key in left.terms} <= cosets[rep]
+
+
+def test_left_products_leave_a_coset_when_gamma_is_not_normal():
+    # swap * (3-cycle Gamma) is another left coset of Gamma = <swap> in S3
+    inter, normal = EMBEDDING_PAIRS["three A1, swap in S3"]
+    big = inter.big
+    piece = big.basis(None, 0, 1)               # N of a 3-cycle
+    swap = inter.embed(inter.small.n_r(1))
+    assert not normal
+    assert {key[2] for key in mul_im(big, piece, swap).terms} <= _left_coset(inter, 1)
+    assert not {key[2] for key in mul_im(big, swap, piece).terms} <= _left_coset(inter, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +769,6 @@ GRADED_RGROUP_SPECS = _graded_rgroup_specs()
 def _matrix_graded_mul(spec, a, b):
     """graded_mul with gamma v gamma^-1 and the R-group product formed on
     the matrices."""
-    from hecke_functor.hecke import _move_poly_left
     out = {}
     for (wi, gi), p in a.terms.items():
         for (vi, hi), q in b.terms.items():
