@@ -83,7 +83,7 @@ def _decode(decoder, *args):
 
 def _emit(args, payload):
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = _json_text(payload)
     else:
         text = _render_text(payload)
     if args.out:
@@ -91,6 +91,50 @@ def _emit(args, payload):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(v, pad: str = "\n") -> str:
+    """`json.dumps(v, sort_keys=True, indent=2)`, byte for byte, without the
+    standard library's pure-Python indented encoder; `pad` is the newline and
+    indent of the level v sits at.  Lists, tuples, dicts with string keys,
+    strings, ints and the three constants are written here, the int and str
+    members of a container inline; any other value (a float, a dict with a
+    key that is not a string, an unknown type) goes through `json.dumps`."""
+    t = type(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(x) if type(x) is int else _quote(x) if type(x) is str
+            else _json_text(x, inner) for x in v]) + pad + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        try:
+            return "{" + inner + ("," + inner).join([
+                _quote(k) + ": " + (int.__repr__(x) if type(x := v[k]) is int
+                                    else _quote(x) if type(x) is str
+                                    else _json_text(x, inner))
+                for k in sorted(v)]) + pad + "}"
+        except TypeError:       # a key that is not a string, or a value json.dumps refuses
+            pass
+    elif t is str:
+        return _quote(v)
+    elif t is int:
+        return int.__repr__(v)
+    elif v is None:
+        return "null"
+    elif v is True:
+        return "true"
+    elif v is False:
+        return "false"
+    # JSON text holds no raw newline but its own, so this indents it to pad
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _render_text(payload, indent=0):
@@ -129,7 +173,7 @@ def _cyclo_str(c: Cyclo) -> str:
 
 def _cmd_rootdatum(args):
     if args.action == "build":
-        datum = build_classical(args.family, args.n, args.isogeny)
+        datum = build_classical(args.family, _decode(decode.size, args.n), args.isogeny)
         return datum.to_json()
     if args.action == "factorize":
         mor = _decode(RDMorphism.from_json, _load_json(args.input))

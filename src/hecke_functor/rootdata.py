@@ -636,6 +636,13 @@ def based_automorphisms(datum: BasedRootDatum) -> list[RDMorphism]:
 
     Raises when the group could be infinite: that happens exactly when the
     lattice has a complement of rank >= 2 on top of the span of the roots.
+
+    The unknown g is an r x r integer matrix, flattened row-major.  A
+    candidate permutation pi of the simple roots asks g alpha_i = alpha_pi(i)
+    and, listed by image, alpha^vee_pi(i)^T g = alpha^vee_i.  So every
+    candidate has the same coefficient matrix and only the right-hand side
+    moves: one Smith form and one kernel serve them all, and each candidate
+    is one `solve`.
     """
     r = datum.rank
     if r == 0:
@@ -657,41 +664,35 @@ def based_automorphisms(datum: BasedRootDatum) -> list[RDMorphism]:
                for i in range(k) for j in range(k)):
             candidates.append(perm)
 
+    # a zero row first keeps the r*r unknowns when there are no simple roots
+    rows = [(0,) * (r * r)]
+    for i in simples:
+        for row_i in range(r):                          # (g alpha_i)[row_i]
+            eq = [0] * (r * r)
+            eq[row_i * r:(row_i + 1) * r] = datum.roots[i]
+            rows.append(tuple(eq))
+    for j in simples:
+        for col_j in range(r):                          # (alpha^vee_j^T g)[col_j]
+            eq = [0] * (r * r)
+            eq[col_j::r] = datum.coroots[j]
+            rows.append(tuple(eq))
+    system = il.snf(tuple(rows))
+    free = system.kernel()
+    if len(free) > 1:
+        raise RootDatumError("possibly infinite automorphism group")
+
+    def as_matrix(vec):
+        return tuple(tuple(vec[i * r + j] for j in range(r)) for i in range(r))
+
     out = []
     seen = set()
     for perm in candidates:
-        # unknowns: g as an r x r integer matrix, flattened row-major
-        rows, rhs = [], []
-        for idx, i in enumerate(simples):
-            alpha = datum.roots[i]
-            alpha_img = datum.roots[simples[perm[idx]]]
-            for row_i in range(r):
-                eq = [0] * (r * r)
-                for col_j in range(r):
-                    eq[row_i * r + col_j] = alpha[col_j]
-                rows.append(tuple(eq))
-                rhs.append(alpha_img[row_i])
-        for idx, i in enumerate(simples):
-            alpha_v = datum.coroots[i]
-            alpha_v_img = datum.coroots[simples[perm[idx]]]
-            # condition g^T(alpha_v_img) = alpha_v, i.e. alpha_v_img . g = alpha_v
-            for col_j in range(r):
-                eq = [0] * (r * r)
-                for row_i in range(r):
-                    eq[row_i * r + col_j] = alpha_v_img[row_i]
-                rows.append(tuple(eq))
-                rhs.append(alpha_v[col_j])
-        system = il.snf(tuple(rows))
-        x0 = system.solve(tuple(rhs))
+        inverse = sorted(range(k), key=perm.__getitem__)
+        rhs = (0,) + tuple(x for p in perm for x in datum.roots[simples[p]]) \
+            + tuple(x for p in inverse for x in datum.coroots[simples[p]])
+        x0 = system.solve(rhs)
         if x0 is None:
             continue
-        free = system.kernel()
-        if len(free) > 1:
-            raise RootDatumError("possibly infinite automorphism group")
-
-        def as_matrix(vec):
-            return tuple(tuple(vec[i * r + j] for j in range(r)) for i in range(r))
-
         solutions = []
         if not free:
             solutions.append(as_matrix(x0))

@@ -57,8 +57,11 @@ def test_rootdatum_build_validate_dual(tmp_path, capsys):
 
 
 def test_rootdatum_automorphisms(capsys):
-    data = run_json(["rootdatum", "automorphisms", "--in", "datum:gl4"], capsys)
-    assert data["count"] == 2
+    # GL_1 and a rank-1 datum without roots have no simple roots: x -> +-x
+    for source in ("datum:gl4", "datum:gl1",
+                   json.dumps({"rank": 1, "roots": [], "coroots": [], "simples": []})):
+        data = run_json(["rootdatum", "automorphisms", "--in", source], capsys)
+        assert data["count"] == 2
 
 
 def test_rootdatum_factorize(capsys):
@@ -233,6 +236,7 @@ _ONE = {"vars": ["z"], "terms": [[[0], {"n": 1, "coeffs": [[0, "1"]]}]]}
     ["param", "component-group", "--param", "param:sln0"],
     ["param", "component-group", "--param", "param:sln-3"],
     ["example", "sln", "--n", "0"],
+    ["rootdatum", "build", "--family", "A", "--n", "-2"],
 ])
 def test_malformed_element_is_refused(args, capsys, tmp_path):
     five = tmp_path / "five.json"
@@ -569,6 +573,39 @@ def test_cold_and_warm_replies_agree(capsys):
     assert {code for code, _, _ in cold} == {0, 1, 2}
     for _ in range(2):
         assert [run_cli(args, capsys) for args in requests] == cold
+
+
+def test_json_output_is_json_dumps_of_the_payload(capsys, monkeypatch, tmp_path):
+    # the handler's payload, rendered by the live json.dumps: nothing frozen
+    from hecke_functor import cli
+    payloads = []
+
+    def recorded(handler):
+        def run(args):
+            payloads.append(handler(args))
+            return payloads[-1]
+        return run
+
+    for verb, handler in list(cli._DISPATCH.items()):
+        monkeypatch.setitem(cli._DISPATCH, verb, recorded(handler))
+    requests = _sweep_requests() + [
+        ["finrep", "irreducibles", "--format", "json", "--group", "group:s4"],
+        ["hecke", "mul", "--format", "json", "--spec", "datum:a1sc", "--a",
+         json.dumps([[{"t": [1], "w_word": [0]}, _ONE]]), "--b",
+         json.dumps([[{"t": [-2], "w_word": [0]}, _ONE]])],
+        ["rootdatum", "automorphisms", "--format", "json", "--in", "datum:d4sc"],
+    ]
+    verbs = set()
+    for args in requests:
+        payloads.clear()
+        code, out, _ = run_cli(args, capsys)
+        if code == 0:
+            verbs.add(next(a for a in args if a in cli._DISPATCH))
+            assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+    assert verbs == set(cli._DISPATCH)
+    target = tmp_path / "out.json"
+    assert run_cli(requests[-1] + ["--out", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == run_cli(requests[-1], capsys)[1]
 
 
 def test_decode_memos_stay_bounded():

@@ -1,10 +1,13 @@
-"""Differential tests of three fast paths against the paths they replace:
+"""Differential tests of five fast paths against the paths they replace:
 condition 1 read off the simple roots (against the check over every root),
 the SL component search on integer numerators (against the `Eig` search),
-and the vanishing rule of `hom_mult` (against the `Cyclo` of the sum)."""
+the vanishing rule of `hom_mult` (against the `Cyclo` of the sum), the CLI's
+JSON writer (against `json.dumps`) and Light's associativity test (against
+every triple)."""
 
 import dataclasses
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hecke_functor import finrep, lparam, rootdata
+from hecke_functor.cli import _json_text
 from hecke_functor.acceptance import _chain_catalog, _random_unimodular, _transport_datum
 from hecke_functor.finrep import FiniteGroup, RepOrChar, hom_mult, irreducibles
 from hecke_functor.functor import compose
@@ -258,3 +262,104 @@ def test_the_vanishing_rule_covers_every_pair_of_linear_characters():
                 assert finrep._vanishes(n, counts)
             slow = hom_mult(RepOrChar(group, sigma.values), RepOrChar(group, rho.values))
             assert hom_mult(sigma, rho) == slow == (sigma == rho)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+
+_STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\n\t\r\"\\/", "é ☃ 𝔾",
+                                        "\ud800", "\u2028"])
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _STRINGS | st.floats()
+    | st.integers(10 ** 99, 10 ** 100) | st.integers(-10 ** 100, -10 ** 99),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREES)
+def test_the_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {"b": [{}]}],
+    (), ((),), [True, 1, False, 0, None], [-(10 ** 100), 10 ** 100, -0],
+    [1.5, float("nan"), float("inf")], {"x": 0.1, "\x00": "\u00e9"}, {2: [1], 1: {}},
+])
+def test_the_json_writer_matches_json_dumps_on_edge_trees(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# Light's associativity test
+
+
+def _associative(table) -> bool:
+    """Every triple: (a b) c == a (b c)."""
+    return all(table[ab] == tuple(table[a][x] for x in table[b])
+               for a in range(len(table)) for b, ab in enumerate(table[a]))
+
+
+def _light_accepts(table) -> bool:
+    try:
+        FiniteGroup(table)
+    except finrep.FinRepError as exc:
+        assert str(exc) == "table is not associative"
+        return False
+    return True
+
+
+@st.composite
+def _magmas(draw):
+    """Tables with identity 0 and an inverse for every element."""
+    n = draw(st.integers(1, 6))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        table[0][i] = table[i][0] = i
+    for i in range(1, n):
+        for j in range(1, n):
+            table[i][j] = draw(st.integers(0, n - 1))
+        table[i][draw(st.integers(1, n - 1))] = 0
+    return tuple(map(tuple, table))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_magmas())
+def test_light_matches_every_triple_on_small_magmas(table):
+    assert _light_accepts(table) == _associative(table)
+
+
+def _relabelled(table, perm):
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("kind, order", [
+    ("cyclic", n) for n in (1, 2, 5, 12, 16, 24, 25, 28, 35, 42, 49, 56, 63, 64)
+] + [("dihedral", n) for n in (4, 6, 8, 14, 28, 42, 56, 64)])
+def test_light_matches_every_triple_on_perturbed_groups(kind, order):
+    rng = random.Random(order)
+    group = FiniteGroup.cyclic(order) if kind == "cyclic" else FiniteGroup.dihedral(order // 2)
+    perm = list(range(order))
+    rng.shuffle(perm)
+    table = _relabelled(group.table, perm)
+    assert _light_accepts(table) and _associative(table)
+    e = perm[group.identity]
+    others = [x for x in range(order) if x != e]
+    for _ in range(6 if order > 2 else 0):
+        bad = [list(row) for row in table]
+        a = rng.choice(others)
+        b, c = rng.sample([x for x in others if bad[a][x] != e], 2)
+        if rng.random() < 0.5:
+            bad[a][b], bad[a][c] = bad[a][c], bad[a][b]     # a row that stays a permutation
+        else:
+            bad[a][b] = bad[a][c]                           # one changed entry
+        bad = tuple(map(tuple, bad))
+        assert _light_accepts(bad) == _associative(bad)

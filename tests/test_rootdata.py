@@ -321,7 +321,7 @@ def test_morphism_json_round_trip():
 
 
 def test_gl_automorphisms():
-    for n in (2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5):
         gl = build_classical("GL", n)
         autos = based_automorphisms(gl)
         assert len(autos) == 2
